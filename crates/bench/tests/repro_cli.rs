@@ -2,8 +2,13 @@
 
 use std::process::Command;
 
+/// The `repro` binary, with its `BENCH_*.json` timing snapshots sent to
+/// the test scratch directory instead of the committed files at the
+/// workspace root.
 fn repro() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.env("DMC_BENCH_DIR", env!("CARGO_TARGET_TMPDIR"));
+    cmd
 }
 
 #[test]

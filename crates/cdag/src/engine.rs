@@ -27,21 +27,28 @@
 //! 4. **Best-so-far pruning.** Anchors are scheduled by a cheap per-depth
 //!    *level-cut width* estimate (an upper bound on `|W^min(x)|`, see
 //!    [`WavefrontEngine::anchor_estimate`]); the winner is the maximum by
-//!    `(cut size, anchor position)`, so an anchor with estimate `e` at
+//!    `(cut size, anchor position)`, so an anchor with ceiling `e` at
 //!    position `p` can contribute at most `(e, p)` — it is skipped without
 //!    touching the flow network whenever `(e, p)` is lexicographically
-//!    below the best completed `(size, position)`. The position tie-break
-//!    makes this bite hard on regular graphs where many anchors tie at the
-//!    maximum: batches are processed highest-position-first, so one solved
-//!    member of the winning tie class dominates the rest of the class. A
-//!    whole batch is skipped before its reachability sweep when its
-//!    `(max estimate, max position)` is dominated. Because only provably-
+//!    below the best completed `(size, position)`. A whole batch is
+//!    skipped before its reachability sweep when its `(max estimate, max
+//!    position)` is dominated; after the sweep each anchor's ceiling
+//!    tightens to the smaller of its level estimate and its two
+//!    closure-cut wavefronts ([`BatchReach::closure_ceiling`]). The
+//!    position tie-break makes this bite hard on regular graphs where many
+//!    anchors tie at the maximum: batches are processed
+//!    highest-position-first, so one solved member of the winning tie
+//!    class dominates the rest of the class. Because only provably-
 //!    dominated anchors are skipped, pruning preserves both the maximum and
 //!    the deterministic tie-break.
 //!
 //! The engine also hosts the adaptive sampling mode
 //! ([`WavefrontEngine::run_adaptive`]): a per-level coarse pass followed by
 //! exhaustive refinement of the depth neighbourhood of the best anchor.
+//! Both modes have *floored* variants ([`WavefrontEngine::run_above`],
+//! [`WavefrontEngine::run_adaptive_above`]) for callers that only care
+//! about wavefronts larger than a known floor — e.g. a Lemma-2 bound that
+//! must beat an incumbent bound to matter.
 //!
 //! [`BatchReach`]: crate::reach::BatchReach
 //! [`WarmCut`]: crate::flow::WarmCut
@@ -71,7 +78,9 @@ fn pack(size: usize, pos: u32) -> u64 {
 pub struct EngineRun {
     /// The maximum minimum-wavefront over the batch (`None` for an empty
     /// anchor set). Identical — size, anchor, and witness cut — to the
-    /// serial [`crate::cut::max_min_wavefront`] at any thread count.
+    /// serial [`crate::cut::max_min_wavefront`] at any thread count. The
+    /// floored runs return it only when its size exceeds a non-zero floor
+    /// (`None` otherwise), and then it is still that identical maximum.
     pub best: Option<MinWavefront>,
     /// Anchors handed to the engine (adaptive mode: both phases).
     pub anchors_considered: usize,
@@ -283,20 +292,28 @@ impl<'g> WavefrontEngine<'g> {
         self.level_cut_width[self.depth[x.index()] as usize]
     }
 
+    /// The widest level cut: an upper bound on `|W^min(x)|` for *every*
+    /// anchor (see [`WavefrontEngine::anchor_estimate`]), so no run of this
+    /// engine can return a larger wavefront. Free after construction.
+    pub fn ceiling(&self) -> usize {
+        self.level_cut_width.iter().copied().max().unwrap_or(0)
+    }
+
     /// Computes `max_x |W^min(x)|` over `anchors` — the parallel, pruned
     /// equivalent of [`crate::cut::max_min_wavefront`]. Results (size,
     /// winning anchor, witness cut) are identical to the serial baseline at
     /// any thread count.
     pub fn run(&self, anchors: &[VertexId]) -> EngineRun {
-        self.run_with_floor(anchors, 0)
+        self.run_above(anchors, 0)
     }
 
-    /// [`WavefrontEngine::run`] with pruning pre-seeded at `floor`: anchors
-    /// whose estimate is strictly below `floor` are skipped outright. Used
-    /// by the adaptive refinement phase, whose coarse pass has already
-    /// proved a cut of size `floor`; the caller must treat any returned
-    /// `best` of size `<= floor` as dominated by that earlier result.
-    fn run_with_floor(&self, anchors: &[VertexId], floor: usize) -> EngineRun {
+    /// [`WavefrontEngine::run`] for callers that only need wavefronts
+    /// larger than `floor`: pruning starts at `(floor, ∞)`, so anchors
+    /// whose ceiling is at most `floor` are skipped outright, and `best`
+    /// is `None` unless the maximum exceeds `floor` — in which case it is
+    /// exactly [`WavefrontEngine::run`]'s result. `floor = 0` is `run`
+    /// itself (which still returns a size-0 maximum).
+    pub fn run_above(&self, anchors: &[VertexId], floor: usize) -> EngineRun {
         if anchors.is_empty() {
             return EngineRun {
                 best: None,
@@ -329,8 +346,16 @@ impl<'g> WavefrontEngine<'g> {
         let sched = sched; // frozen; workers only read
         let next = AtomicUsize::new(0);
         // Shared lexicographic best `(size, position)`, packed so that
-        // `fetch_max` is the whole synchronization story.
-        let best = AtomicU64::new(pack(floor, 0));
+        // `fetch_max` is the whole synchronization story. A non-zero floor
+        // enters as `(floor, ∞)`, which dominates every anchor whose
+        // ceiling merely ties it; floor 0 keeps `(0, 0)` so an all-zero run
+        // still finds the serial argmax. Ceilings never exceed `|V| < 2³²`,
+        // so clamping the floor there loses nothing.
+        let seed = match floor {
+            0 => pack(0, 0),
+            f => pack(f.min(u32::MAX as usize), u32::MAX),
+        };
+        let best = AtomicU64::new(seed);
         let evaluated = AtomicUsize::new(0);
         let threads = self.resolved_threads(batches.len());
         let locals: Vec<Option<(usize, MinWavefront)>> = if threads == 1 {
@@ -358,7 +383,8 @@ impl<'g> WavefrontEngine<'g> {
             .into_iter()
             .flatten()
             .max_by_key(|(pos, w)| (w.size, *pos))
-            .map(|(_, w)| w);
+            .map(|(_, w)| w)
+            .filter(|w| floor == 0 || w.size > floor);
         EngineRun {
             best,
             anchors_considered: anchors.len(),
@@ -403,11 +429,15 @@ impl<'g> WavefrontEngine<'g> {
             for (j, (&x, &i)) in xs.iter().zip(&sched[start..end]).enumerate() {
                 let pos = i as usize;
                 // Per-anchor best-so-far pruning: the anchor can contribute
-                // at most `(estimate, position)`; if that is lexicographic-
-                // ally below the best completed `(size, position)`, it can
-                // neither beat nor tie-win the merge — skipping cannot
-                // change the argmax.
-                if pack(self.anchor_estimate(x), i) < best.load(Ordering::Relaxed) {
+                // at most `(ceiling, position)`, with the ceiling the
+                // tighter of the level estimate and the sweep's closure
+                // cuts; if that is lexicographically below the best
+                // completed `(size, position)`, it can neither beat nor
+                // tie-win the merge — skipping cannot change the argmax.
+                let ceiling = self
+                    .anchor_estimate(x)
+                    .min(scratch.batch.closure_ceiling(j));
+                if pack(ceiling, i) < best.load(Ordering::Relaxed) {
                     continue;
                 }
                 let w = scratch.min_wavefront(self.g, j, x);
@@ -448,40 +478,56 @@ impl<'g> WavefrontEngine<'g> {
     /// bound quality; the returned `best` is deterministic at any thread
     /// count (only the `anchors_evaluated` diagnostic may vary).
     pub fn run_adaptive(&self) -> EngineRun {
+        self.run_adaptive_above(0)
+    }
+
+    /// [`WavefrontEngine::run_adaptive`] with a floor, in the sense of
+    /// [`WavefrontEngine::run_above`]: `best` is `None` unless the adaptive
+    /// maximum exceeds a non-zero `floor`, and then it is exactly
+    /// `run_adaptive`'s result. The coarse pass runs unfloored — it picks
+    /// the refinement depth, so it must find its true winner — and the
+    /// refinement is floored at the larger of that winner and `floor`.
+    /// `anchors_considered` therefore matches `run_adaptive` exactly.
+    pub fn run_adaptive_above(&self, floor: usize) -> EngineRun {
         let seeds = self.per_level_anchors();
         let coarse = self.run(&seeds);
         let Some(coarse_best) = coarse.best else {
             return coarse;
         };
+        let refine = self.refinement_anchors(&seeds, &coarse_best);
+        // Only refinement anchors that beat both the coarse winner and the
+        // caller's floor can matter; the rest are dominated.
+        let fine = self.run_above(&refine, coarse_best.size.max(floor));
+        // The refinement can only improve the bound; ties keep the coarse
+        // winner (deterministic: both phases are).
+        let best = match fine.best {
+            Some(f) if f.size > coarse_best.size => f,
+            _ => coarse_best,
+        };
+        EngineRun {
+            best: (floor == 0 || best.size > floor).then_some(best),
+            anchors_considered: coarse.anchors_considered + fine.anchors_considered,
+            anchors_evaluated: coarse.anchors_evaluated + fine.anchors_evaluated,
+        }
+    }
+
+    /// The adaptive refinement set: every non-seed vertex within one depth
+    /// level of the coarse winner.
+    fn refinement_anchors(&self, seeds: &[VertexId], coarse_best: &MinWavefront) -> Vec<VertexId> {
         let mut seed_set = BitSet::new(self.g.num_vertices());
-        for s in &seeds {
+        for s in seeds {
             seed_set.insert(s.index());
         }
         let d_star = self.depth[coarse_best.anchor.index()];
         let lo = d_star.saturating_sub(1);
         let hi = d_star + 1;
-        let refine: Vec<VertexId> = self
-            .g
+        self.g
             .vertices()
             .filter(|v| {
                 let d = self.depth[v.index()];
                 d >= lo && d <= hi && !seed_set.contains(v.index())
             })
-            .collect();
-        // Seed the refinement's pruning with the coarse winner: refinement
-        // anchors whose estimate cannot beat it are already dominated.
-        let fine = self.run_with_floor(&refine, coarse_best.size);
-        // The refinement can only improve the bound; ties keep the coarse
-        // winner (deterministic: both phases are).
-        let best = match fine.best {
-            Some(f) if f.size > coarse_best.size => Some(f),
-            _ => Some(coarse_best),
-        };
-        EngineRun {
-            best,
-            anchors_considered: coarse.anchors_considered + fine.anchors_considered,
-            anchors_evaluated: coarse.anchors_evaluated + fine.anchors_evaluated,
-        }
+            .collect()
     }
 }
 
@@ -513,6 +559,33 @@ mod tests {
         let l3: Vec<_> = (0..3).map(|i| b.add_op(format!("c{i}"), &l2)).collect();
         let t = b.add_op("t", &l3);
         b.tag_output(t);
+        b.build().unwrap()
+    }
+
+    /// A `w × h` dependence ladder: `v(i, j)` reads `v(i − 1, j)` and
+    /// `v(i, j − 1)`, so every antidiagonal is a wavefront and anchors on
+    /// the same antidiagonal tie.
+    fn ladder(w: usize, h: usize) -> Cdag {
+        let mut b = CdagBuilder::new();
+        let mut ids: Vec<VertexId> = Vec::with_capacity(w * h);
+        for i in 0..h {
+            for j in 0..w {
+                let mut preds = Vec::new();
+                if i > 0 {
+                    preds.push(ids[(i - 1) * w + j]);
+                }
+                if j > 0 {
+                    preds.push(ids[i * w + j - 1]);
+                }
+                let v = if preds.is_empty() {
+                    b.add_input(format!("v{i}_{j}"))
+                } else {
+                    b.add_op(format!("v{i}_{j}"), &preds)
+                };
+                ids.push(v);
+            }
+        }
+        b.tag_output(ids[w * h - 1]);
         b.build().unwrap()
     }
 
@@ -598,6 +671,74 @@ mod tests {
             let r = WavefrontEngine::new(&g).with_threads(t).run_adaptive();
             assert_eq!(r.best.unwrap().size, b_ad);
         }
+    }
+
+    #[test]
+    fn refinement_floor_skips_ties_with_the_coarse_winner() {
+        let g = ladder(12, 12);
+        let eng = WavefrontEngine::new(&g).with_threads(1);
+        let seeds = eng.per_level_anchors();
+        let coarse = eng.run(&seeds).best.unwrap();
+        let refine = eng.refinement_anchors(&seeds, &coarse);
+        // Every refinement anchor's pruning ceiling, as the worker sees it.
+        let mut batch = BatchReach::new();
+        batch.compute(&g, &eng.order, &refine);
+        let top = refine
+            .iter()
+            .enumerate()
+            .map(|(j, &x)| eng.anchor_estimate(x).min(batch.closure_ceiling(j)))
+            .max()
+            .unwrap();
+        // On a ladder the refinement can at best tie the coarse winner...
+        assert_eq!(top, coarse.size);
+        // ...so the adaptive refinement, floored there, solves nothing,
+        // while a floor one lower still has the tying anchors to solve.
+        assert_eq!(eng.run_above(&refine, top).anchors_evaluated, 0);
+        assert!(eng.run_above(&refine, top - 1).anchors_evaluated > 0);
+        let adaptive = eng.run_adaptive();
+        assert_eq!(
+            adaptive.anchors_evaluated,
+            eng.run(&seeds).anchors_evaluated
+        );
+        // The winner is unchanged: the unpruned refinement cannot beat the
+        // coarse pass, which the adaptive result keeps.
+        assert!(eng.run(&refine).best.unwrap().size <= coarse.size);
+        let best = adaptive.best.unwrap();
+        assert_eq!(
+            (best.size, best.anchor, &best.cut.vertices),
+            (coarse.size, coarse.anchor, &coarse.cut.vertices)
+        );
+    }
+
+    #[test]
+    fn floored_runs_return_only_wavefronts_above_the_floor() {
+        let g = lumpy();
+        let eng = WavefrontEngine::new(&g).with_threads(1);
+        let all: Vec<VertexId> = g.vertices().collect();
+        let full = eng.run(&all).best.unwrap();
+        let adaptive_run = eng.run_adaptive();
+        let adaptive = adaptive_run.best.unwrap();
+        for floor in 0..=eng.ceiling() + 1 {
+            let run = eng.run_above(&all, floor);
+            match run.best {
+                Some(b) => {
+                    assert!(floor == 0 || full.size > floor, "floor {floor}");
+                    assert_eq!(
+                        (b.anchor, b.cut.vertices),
+                        (full.anchor, full.cut.vertices.clone())
+                    );
+                }
+                None => assert!(floor > 0 && full.size <= floor, "floor {floor}"),
+            }
+            assert_eq!(run.anchors_considered, all.len());
+            let run = eng.run_adaptive_above(floor);
+            assert_eq!(run.best.is_some(), floor == 0 || adaptive.size > floor);
+            if let Some(b) = run.best {
+                assert_eq!(b.anchor, adaptive.anchor, "floor {floor}");
+            }
+            assert_eq!(run.anchors_considered, adaptive_run.anchors_considered);
+        }
+        assert!(eng.ceiling() >= full.size);
     }
 
     #[test]

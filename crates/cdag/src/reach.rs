@@ -115,12 +115,19 @@ pub struct BatchReach {
     /// Interior rows: bit `j` of `v` set iff `v` is a non-frontier source
     /// or sink of anchor `j`.
     blocked: Vec<u64>,
+    /// Per-lane wavefront width of the closure cut `S = {x_j} ∪ Anc(x_j)`,
+    /// i.e. `|supply_j|`.
+    anc_cut: Vec<usize>,
+    /// Per-lane wavefront width of the closure cut `S = V ∖ Desc(x_j)`:
+    /// the vertices outside `Desc(x_j)` with a successor inside it.
+    desc_cut: Vec<usize>,
     /// Words per vertex row (`⌈anchors.len() / 64⌉` for the current batch).
     stride: usize,
     /// Anchors of the current batch, in bit order.
     anchors: Vec<VertexId>,
-    /// Word-row accumulator reused across sweep steps.
+    /// Word-row accumulators reused across sweep steps.
     acc: Vec<u64>,
+    hit: Vec<u64>,
 }
 
 impl BatchReach {
@@ -134,9 +141,12 @@ impl BatchReach {
             supply: Vec::new(),
             drain: Vec::new(),
             blocked: Vec::new(),
+            anc_cut: Vec::new(),
+            desc_cut: Vec::new(),
             stride: 0,
             anchors: Vec::new(),
             acc: Vec::new(),
+            hit: Vec::new(),
         }
     }
 
@@ -197,24 +207,41 @@ impl BatchReach {
         // predecessor lies outside the sink side; everything else on a side
         // is interior. [`crate::flow::WarmCut::min_cut_roles`] relies on the
         // flow-equivalence of supplying/draining only the frontier while
-        // blocking the interior outright.
+        // blocking the interior outright. The same pass tallies the two
+        // closure-cut wavefronts behind [`BatchReach::closure_ceiling`]:
+        // the supply rows themselves, and the vertices outside the sink
+        // side with a successor inside it (`OR` over successor rows).
         self.supply.clear();
         self.supply.resize(n * stride, 0);
         self.drain.clear();
         self.drain.resize(n * stride, 0);
         self.blocked.clear();
         self.blocked.resize(n * stride, 0);
+        self.anc_cut.clear();
+        self.anc_cut.resize(anchors.len(), 0);
+        self.desc_cut.clear();
+        self.desc_cut.resize(anchors.len(), 0);
+        self.hit.clear();
+        self.hit.resize(stride, 0);
         for v in g.vertices() {
             let vi = v.index() * stride;
             self.acc.fill(!0u64);
+            self.hit.fill(0);
             for &s in g.successors(v) {
                 let si = s.index() * stride;
                 crate::bitset::intersect_words(&mut self.acc, &self.anc[si..si + stride]);
+                crate::bitset::union_words(&mut self.hit, &self.desc[si..si + stride]);
             }
             for w in 0..stride {
                 let a = self.anc[vi + w];
-                self.supply[vi + w] = a & !self.acc[w];
+                let supply = a & !self.acc[w];
+                self.supply[vi + w] = supply;
                 self.blocked[vi + w] = a & self.acc[w];
+                tally(&mut self.anc_cut[64 * w..], supply);
+                tally(
+                    &mut self.desc_cut[64 * w..],
+                    self.hit[w] & !self.desc[vi + w],
+                );
             }
             self.acc.fill(!0u64);
             for &p in g.predecessors(v) {
@@ -232,6 +259,20 @@ impl BatchReach {
     /// Anchors of the most recent [`compute`](BatchReach::compute) batch.
     pub fn anchors(&self) -> &[VertexId] {
         &self.anchors
+    }
+
+    /// Upper bound on anchor `j`'s min-cut size: the smaller wavefront of
+    /// its two *closure cuts*, `S = {x_j} ∪ Anc(x_j)` (the wavefront is
+    /// exactly the supply frontier) and `S = V ∖ Desc(x_j)`. Both cuts
+    /// are convex, keep `{x_j} ∪ Anc(x_j)` on the `S` side and `Desc(x_j)`
+    /// on the `T` side, so every source→sink path leaves `S` through a
+    /// wavefront vertex, none of which is a sink: each wavefront is a
+    /// cuttable separator, hence at least the min cut.
+    ///
+    /// # Panics
+    /// Panics if `j` is out of range.
+    pub fn closure_ceiling(&self, j: usize) -> usize {
+        self.anc_cut[j].min(self.desc_cut[j])
     }
 
     /// Fills `out` (capacity `|V|`) with `{x_j} ∪ Anc(x_j)` — the source
@@ -307,6 +348,14 @@ impl BatchReach {
             }
             out.set_block(block, word);
         }
+    }
+}
+
+/// Adds one to `counts[b]` for every set bit `b` of `word`.
+fn tally(counts: &mut [usize], mut word: u64) {
+    while word != 0 {
+        counts[word.trailing_zeros() as usize] += 1;
+        word &= word - 1;
     }
 }
 
@@ -567,6 +616,18 @@ mod tests {
             assert_eq!(got, drain, "drain of anchor {x}");
             batch.fill_blocked(j, &mut got);
             assert_eq!(got, blocked, "blocked of anchor {x}");
+            let lo = crate::cut::ConvexCut::minimal_around(&g, x).wavefront(&g);
+            let hi = crate::cut::ConvexCut::maximal_around(&g, x).wavefront(&g);
+            assert_eq!(
+                lo.len(),
+                supply.len(),
+                "supply is the minimal cut's wavefront"
+            );
+            assert_eq!(
+                batch.closure_ceiling(j),
+                lo.len().min(hi.len()),
+                "closure ceiling of anchor {x}"
+            );
         }
     }
 

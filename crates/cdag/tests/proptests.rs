@@ -7,13 +7,17 @@
 
 use dmc_cdag::bitset::BitSet;
 use dmc_cdag::builder::CdagBuilder;
-use dmc_cdag::cut::{peak_schedule_wavefront, schedule_wavefront_sizes, ConvexCut};
+use dmc_cdag::cut::{
+    max_min_wavefront, min_wavefront, peak_schedule_wavefront, schedule_wavefront_sizes, ConvexCut,
+};
 use dmc_cdag::engine::WavefrontEngine;
 use dmc_cdag::flow::{
     is_separating_vertex_set, vertex_min_cut, FlowNetwork, VertexCutOptions, WarmCut,
 };
 use dmc_cdag::graph::{Cdag, VertexId};
-use dmc_cdag::reach::{all_pairs_reachability, ancestors_into, descendants_into, reaches_into};
+use dmc_cdag::reach::{
+    all_pairs_reachability, ancestors_into, descendants_into, reaches_into, BatchReach,
+};
 use dmc_cdag::topo::{dfs_topological_order, is_valid_topological_order, topological_order};
 use proptest::prelude::*;
 
@@ -318,6 +322,40 @@ proptest! {
         for threads in [2, 4] {
             let run = WavefrontEngine::new(&g).with_threads(threads).run(&anchors);
             prop_assert_eq!(format!("{:?}", run.best), base_text.clone(), "{} threads", threads);
+        }
+    }
+
+    /// Each lane's closure ceiling is the smaller wavefront of the two
+    /// closure cuts around its anchor, and never undercuts the anchor's
+    /// min cut — the soundness the engine's pruning rests on.
+    #[test]
+    fn closure_ceilings_are_closure_cut_wavefronts_above_the_min_cut(g in arb_dag(24)) {
+        let order = topological_order(&g);
+        let anchors: Vec<VertexId> = g.vertices().collect();
+        let mut batch = BatchReach::new();
+        batch.compute(&g, &order, &anchors);
+        for (j, &x) in anchors.iter().enumerate() {
+            let lo = ConvexCut::minimal_around(&g, x).wavefront(&g).len();
+            let hi = ConvexCut::maximal_around(&g, x).wavefront(&g).len();
+            prop_assert_eq!(batch.closure_ceiling(j), lo.min(hi), "anchor {}", x);
+            prop_assert!(
+                batch.closure_ceiling(j) >= min_wavefront(&g, x).size,
+                "anchor {}: ceiling below the min cut", x
+            );
+        }
+    }
+
+    /// With closure-ceiling pruning on, the engine over every anchor still
+    /// returns the serial maximum — size, anchor, and witness — at 1, 2,
+    /// and 4 threads.
+    #[test]
+    fn engine_matches_serial_max_min_wavefront(g in arb_layered_dag(6, 5)) {
+        let anchors: Vec<VertexId> = g.vertices().collect();
+        let serial = max_min_wavefront(&g, &anchors).map(|w| (w.size, w.anchor, w.cut.vertices));
+        for threads in [1, 2, 4] {
+            let run = WavefrontEngine::new(&g).with_threads(threads).run(&anchors);
+            let engine = run.best.map(|w| (w.size, w.anchor, w.cut.vertices));
+            prop_assert_eq!(&engine, &serial, "{} threads", threads);
         }
     }
 

@@ -18,6 +18,11 @@
 //! result (winning size, anchor, and witness) is bit-identical at any
 //! thread count, so the bound's `detail` strings never vary between
 //! runs.
+//!
+//! Inside a portfolio the Lemma-2 value only matters when it beats the
+//! bound ahead of it. [`wavefront_bound_above`] takes that *incumbent*,
+//! turns it into a wavefront floor, and skips every anchor — or the
+//! whole engine — that provably cannot clear it.
 
 use super::{IoBound, Method};
 use dmc_cdag::cut::min_wavefront;
@@ -28,6 +33,15 @@ use dmc_cdag::{Cdag, VertexId};
 /// Lemma 2 for one anchor: `2·(w − S)`, clamped at zero.
 pub fn lemma2_bound(wavefront: usize, s: u64) -> f64 {
     2.0 * (wavefront as f64 - s as f64).max(0.0)
+}
+
+/// The largest wavefront whose Lemma-2 value does not exceed `incumbent`:
+/// `⌊incumbent/2⌋ + S`, saturating. For an integer `w`,
+/// `2·(w − S) > incumbent` iff `w > ⌊incumbent/2⌋ + S`, so only
+/// wavefronts strictly above this floor can beat the incumbent.
+fn lemma2_floor(incumbent: f64, s: u64) -> u64 {
+    // `as` saturates (and maps NaN to 0), so no incumbent can wrap it.
+    ((incumbent / 2.0).floor() as u64).saturating_add(s)
 }
 
 /// Computes the Lemma-2 bound anchored at a specific vertex.
@@ -109,38 +123,78 @@ pub fn auto_wavefront_bound_with(
     strategy: AnchorStrategy,
     threads: usize,
 ) -> IoBound {
+    wavefront_bound_above(g, s, strategy, threads, None)
+}
+
+/// [`auto_wavefront_bound_with`] when the result only matters if it
+/// strictly beats `incumbent` (a bound that wins ties against it).
+///
+/// With an incumbent of value `v`, wavefronts up to the floor
+/// `F = ⌊v/2⌋ + S` (saturating) give `2·(w − S) ≤ v` and cannot win, so
+/// the engine is skipped outright when its level-cut
+/// [`ceiling`](WavefrontEngine::ceiling) is at most `F`, and otherwise
+/// runs floored at `F`. A result that clears the floor is byte-identical
+/// to the unfloored bound; one that cannot is reported as a value-0
+/// Lemma-2 leaf whose note names the ceiling or floor and the incumbent.
+/// Without an incumbent this is exactly [`auto_wavefront_bound_with`].
+pub fn wavefront_bound_above(
+    g: &Cdag,
+    s: u64,
+    strategy: AnchorStrategy,
+    threads: usize,
+    incumbent: Option<&IoBound>,
+) -> IoBound {
     let engine = WavefrontEngine::new(g).with_threads(threads);
-    if let AnchorStrategy::Adaptive = strategy {
-        let run = engine.run_adaptive();
-        return match run.best {
-            Some(w) => IoBound::new(
-                lemma2_bound(w.size, s),
+    let floor = incumbent.map(|inc| (inc, lemma2_floor(inc.value, s)));
+    if let Some((inc, f)) = floor {
+        let c = engine.ceiling();
+        if c as u64 <= f {
+            return IoBound::new(
+                0.0,
                 Method::Wavefront,
-                // Note: only the deterministic anchor count goes into the
-                // detail string — `anchors_evaluated` can vary with thread
-                // timing (see `EngineRun`), and this bound is documented
-                // as bit-identical at any thread count.
                 format!(
-                    "2·(w^max − S) with w^max = {} at anchor {} (adaptive: {} anchors)",
-                    w.size, w.anchor, run.anchors_considered
+                    "not run: level-cut ceiling {c} gives 2·({c} − {s}) = {} ≤ {} {}",
+                    lemma2_bound(c, s),
+                    inc.method,
+                    inc.value
                 ),
-            ),
-            None => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
-        };
+            );
+        }
     }
-    let anchors = select_anchors(g, strategy);
-    match engine.run(&anchors).best {
-        Some(w) => IoBound::new(
+    // The floor is below the ceiling here, so it fits in `usize`.
+    let engine_floor = floor.map_or(0, |(_, f)| f as usize);
+    let (run, mode) = match strategy {
+        AnchorStrategy::Adaptive => (engine.run_adaptive_above(engine_floor), "adaptive: "),
+        _ => (
+            engine.run_above(&select_anchors(g, strategy), engine_floor),
+            "",
+        ),
+    };
+    // Note: only the deterministic anchor count goes into the detail
+    // string — `anchors_evaluated` can vary with thread timing (see
+    // `EngineRun`), and this bound is documented as bit-identical at any
+    // thread count.
+    let anchors = run.anchors_considered;
+    match (run.best, floor) {
+        (Some(w), _) => IoBound::new(
             lemma2_bound(w.size, s),
             Method::Wavefront,
             format!(
-                "2·(w^max − S) with w^max = {} at anchor {} ({} anchors)",
-                w.size,
-                w.anchor,
-                anchors.len()
+                "2·(w^max − S) with w^max = {} at anchor {} ({mode}{anchors} anchors)",
+                w.size, w.anchor
             ),
         ),
-        None => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
+        (None, Some((inc, f))) => IoBound::new(
+            0.0,
+            Method::Wavefront,
+            format!(
+                "dominated: w^max ≤ floor {f} gives 2·({f} − {s}) = {} ≤ {} {} ({mode}{anchors} anchors)",
+                lemma2_bound(engine_floor, s),
+                inc.method,
+                inc.value
+            ),
+        ),
+        (None, None) => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
     }
 }
 
@@ -155,6 +209,18 @@ mod tests {
     fn lemma2_clamps() {
         assert_eq!(lemma2_bound(10, 3), 14.0);
         assert_eq!(lemma2_bound(2, 5), 0.0);
+    }
+
+    #[test]
+    fn lemma2_floor_is_the_largest_wavefront_that_cannot_win() {
+        for s in [1u64, 4, 7] {
+            for v in 0..40u32 {
+                let f = lemma2_floor(f64::from(v), s) as usize;
+                assert!(lemma2_bound(f, s) <= f64::from(v), "S={s}, v={v}");
+                assert!(lemma2_bound(f + 1, s) > f64::from(v), "S={s}, v={v}");
+            }
+        }
+        assert_eq!(lemma2_floor(8192.0, u64::MAX), u64::MAX);
     }
 
     /// Lemma 2 requires no tagged inputs; untag first (Theorem 3 says the

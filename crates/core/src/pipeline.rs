@@ -12,7 +12,8 @@
 //!    Theorem-3 untagging transfer), and the greedy-2S-partition Lemma-1
 //!    relaxation — fanning components out across `std::thread::scope`
 //!    workers with a deterministic merge (bit-identical at any thread
-//!    count);
+//!    count). The trivial bound runs first and is the wavefront member's
+//!    incumbent: wavefronts that cannot beat it are never solved;
 //! 3. compose the per-component winners with
 //!    [`decomposition_sum`] (Theorem 2);
 //! 4. compare against the best *single whole-graph* method, which the
@@ -44,7 +45,7 @@
 
 use crate::analysis::{analyze, AlgorithmProfile, BalanceReport};
 use crate::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transfer};
-use crate::bounds::mincut::{auto_wavefront_bound_with, AnchorStrategy};
+use crate::bounds::mincut::{wavefront_bound_above, AnchorStrategy};
 use crate::bounds::{best_lower_bound, lemma1_lower_bound, IoBound, Method};
 use crate::partition::construct::{greedy_partition, topological_clusters};
 use dmc_cdag::coarsen::{coarsen, ClusterInfo, CoarseDag};
@@ -803,7 +804,7 @@ impl Analyzer {
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
         let whole_wavefront = (n <= opts.whole_wavefront_limit
             && self.config.methods.contains(&PortfolioMethod::Wavefront))
-        .then(|| self.wavefront_bound(g, total));
+        .then(|| self.wavefront_bound(g, total, None));
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
@@ -925,7 +926,7 @@ impl Analyzer {
             .filter_map(|m| match m {
                 PortfolioMethod::Trivial => Some(IoBound::trivial(g)),
                 PortfolioMethod::Wavefront => (g.num_vertices() <= opts.cluster_wavefront_limit)
-                    .then(|| self.wavefront_bound(g, engine_threads)),
+                    .then(|| self.wavefront_bound(g, engine_threads, None)),
                 PortfolioMethod::Partition2S => Some(partition2s_bound(g, self.config.sram)),
             })
             .collect();
@@ -1005,13 +1006,26 @@ impl Analyzer {
     }
 
     /// Runs the configured method portfolio on one CDAG.
+    ///
+    /// When `Trivial` precedes `Wavefront` in the portfolio, the trivial
+    /// bound wins every tie against the wavefront member, so it becomes
+    /// the wavefront's incumbent (see [`wavefront_bound_above`]): a
+    /// wavefront that cannot strictly beat it is reported as a value-0
+    /// candidate instead of being solved. The winner — and so every
+    /// final bound — is unchanged.
     fn portfolio(&self, g: &Cdag, engine_threads: usize) -> Vec<IoBound> {
-        self.config
-            .methods
+        let trivial = IoBound::trivial(g);
+        let methods = &self.config.methods;
+        let trivial_first = methods
+            .iter()
+            .find(|m| matches!(m, PortfolioMethod::Trivial | PortfolioMethod::Wavefront))
+            == Some(&PortfolioMethod::Trivial);
+        let incumbent = trivial_first.then_some(&trivial);
+        methods
             .iter()
             .map(|m| match m {
-                PortfolioMethod::Trivial => IoBound::trivial(g),
-                PortfolioMethod::Wavefront => self.wavefront_bound(g, engine_threads),
+                PortfolioMethod::Trivial => trivial.clone(),
+                PortfolioMethod::Wavefront => self.wavefront_bound(g, engine_threads, incumbent),
                 PortfolioMethod::Partition2S => partition2s_bound(g, self.config.sram),
             })
             .collect()
@@ -1019,14 +1033,21 @@ impl Analyzer {
 
     /// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
     /// result is wrapped in the Theorem-3 untagging transfer that makes
-    /// it valid for the tagged graph.
-    fn wavefront_bound(&self, g: &Cdag, engine_threads: usize) -> IoBound {
+    /// it valid for the tagged graph. `incumbent` is a bound on `g` that
+    /// wins ties against this one (see [`wavefront_bound_above`]).
+    fn wavefront_bound(
+        &self,
+        g: &Cdag,
+        engine_threads: usize,
+        incumbent: Option<&IoBound>,
+    ) -> IoBound {
         let untagged = untag_inputs(g);
-        let wf = auto_wavefront_bound_with(
+        let wf = wavefront_bound_above(
             &untagged,
             self.config.sram,
             self.config.anchor_strategy,
             engine_threads,
+            incumbent,
         );
         if g.num_inputs() > 0 {
             untagging_transfer(&wf)

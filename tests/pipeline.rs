@@ -1,13 +1,20 @@
 //! End-to-end tests of the unified bound-analysis pipeline: the PR's
 //! acceptance scenario on the shipped composite, Theorem-2 additivity on
-//! disjoint unions, and property tests on random layered DAGs (RBW
-//! sandwich + thread-count invariance).
+//! disjoint unions, the trivial-incumbent floor against the full
+//! portfolio on every registry kernel, and property tests on random
+//! layered DAGs (RBW sandwich + thread-count invariance).
 
 use dmc::cdag::builder::disjoint_union;
+use dmc::cdag::components::weakly_connected_components;
+use dmc::cdag::subgraph;
 use dmc::cdag::textio::from_text;
 use dmc::cdag::Cdag;
+use dmc::core::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transfer};
+use dmc::core::bounds::mincut::{auto_wavefront_bound_with, AnchorStrategy};
+use dmc::core::bounds::{best_lower_bound, IoBound, Method};
 use dmc::core::games::optimal::{optimal_io, GameKind};
-use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
+use dmc::core::pipeline::{partition2s_bound, Analyzer, AnalyzerConfig};
+use dmc::kernels::catalog::Registry;
 use dmc::kernels::chains;
 use dmc::kernels::random::{random_layered, RandomDagConfig};
 use proptest::prelude::*;
@@ -68,6 +75,119 @@ fn disjoint_union_is_additive() {
         .sum();
     assert_eq!(composed.value, per_piece);
     assert_eq!(report.bound.value, per_piece);
+}
+
+/// The default portfolio with every method computed in full: no
+/// incumbent floor on the wavefront member.
+fn full_portfolio(g: &Cdag, s: u64) -> Vec<IoBound> {
+    let wf = auto_wavefront_bound_with(&untag_inputs(g), s, AnchorStrategy::Adaptive, 1);
+    vec![
+        IoBound::trivial(g),
+        if g.num_inputs() > 0 {
+            untagging_transfer(&wf)
+        } else {
+            wf
+        },
+        partition2s_bound(g, s),
+    ]
+}
+
+/// The Lemma-2 leaf of a wavefront candidate (under its Theorem-3
+/// wrapper on tagged graphs).
+fn lemma2_leaf(b: &IoBound) -> &IoBound {
+    match b.method {
+        Method::Tagging => &b.provenance.children[0],
+        _ => b,
+    }
+}
+
+fn json(b: &IoBound) -> String {
+    serde::json::to_string(b)
+}
+
+/// Checks one floored candidate list against its full counterpart and
+/// returns the full list's first-wins winner.
+fn check_candidates(got: &[IoBound], full: &[IoBound], what: &str) -> IoBound {
+    assert_eq!(got.len(), full.len(), "{what}");
+    // Trivial and 2S-partition members are untouched.
+    assert_eq!(json(&got[0]), json(&full[0]), "{what}: trivial");
+    assert_eq!(json(&got[2]), json(&full[2]), "{what}: 2S-partition");
+    let note = &lemma2_leaf(&got[1]).provenance.note;
+    if note.starts_with("not run:") || note.starts_with("dominated:") {
+        // Same shape, value 0, and the skipped bound really cannot win.
+        assert_eq!(got[1].method, full[1].method, "{what}: shape");
+        assert_eq!(got[1].value, 0.0, "{what}: {note}");
+        assert!(
+            full[1].value <= full[0].value,
+            "{what}: skipped a wavefront {} that beats trivial {}",
+            full[1].value,
+            full[0].value
+        );
+    } else {
+        assert_eq!(json(&got[1]), json(&full[1]), "{what}: wavefront");
+    }
+    let expected = best_lower_bound(full.iter().cloned()).expect("three methods");
+    let winner = best_lower_bound(got.iter().cloned()).expect("three methods");
+    assert_eq!(json(&winner), json(&expected), "{what}: winner");
+    expected
+}
+
+/// The trivial-incumbent floor never changes what the pipeline
+/// certifies: on every registry kernel at default parameters and
+/// S ∈ {4, 64, 1024}, the final bound's value and method equal the
+/// first-wins best of the three methods computed in full (composed over
+/// components where the pipeline composes), and every wavefront
+/// candidate that is not dominated is byte-equal to the unfloored one.
+#[test]
+fn incumbent_floor_matches_the_full_portfolio_on_the_registry() {
+    let registry = Registry::shared();
+    for name in registry.names() {
+        let g = registry.defaults(name).expect("default spec").build();
+        let comps = weakly_connected_components(&g);
+        let pieces = subgraph::decompose(&g, &comps.assignment, comps.count);
+        for s in [4u64, 64, 1024] {
+            let what = format!("{name} @ S = {s}");
+            let report = analyzer(s, 1).analyze(&g);
+            let whole = check_candidates(&report.whole_graph, &full_portfolio(&g, s), &what);
+            let composed = (!report.components.is_empty()).then(|| {
+                let bests: Vec<IoBound> = report
+                    .components
+                    .iter()
+                    .zip(&pieces)
+                    .map(|(c, piece)| {
+                        let full = full_portfolio(&piece.cdag, s);
+                        let what = format!("{what}, component {}", c.index);
+                        check_candidates(&c.candidates, &full, &what)
+                    })
+                    .collect();
+                decomposition_sum(&bests)
+            });
+            let expected = best_lower_bound(composed.into_iter().chain([whole])).expect("bound");
+            assert_eq!(report.bound.value, expected.value, "{what}");
+            assert_eq!(report.bound.method, expected.method, "{what}");
+            let two = analyzer(s, 2).analyze(&g);
+            assert_eq!(two.to_string(), report.to_string(), "{what} @ 2 threads");
+        }
+    }
+}
+
+/// An astronomically large `S` saturates the incumbent floor: the engine
+/// is skipped on every registry kernel, without overflow or panic.
+#[test]
+fn huge_sram_skips_the_engine_on_the_registry() {
+    let registry = Registry::shared();
+    for name in registry.names() {
+        let g = registry.defaults(name).expect("default spec").build();
+        let report = analyzer(u64::MAX, 1).analyze(&g);
+        let wf = lemma2_leaf(&report.whole_graph[1]);
+        assert!(
+            wf.provenance.note.starts_with("not run: level-cut ceiling"),
+            "{name}: {}",
+            wf.provenance.note
+        );
+        let best = report.best_whole_graph.as_ref().expect("baseline on");
+        assert_eq!(best.method, Method::Trivial, "{name}");
+    }
 }
 
 fn arb_cdag() -> impl Strategy<Value = Cdag> {
