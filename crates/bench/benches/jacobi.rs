@@ -4,27 +4,24 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_kernels::grid::Stencil;
 use dmc_kernels::jacobi::jacobi_cdag;
-use dmc_machine::{Level, MemoryHierarchy};
-use dmc_sim::{schedule, simulate};
+use dmc_sim::{schedule, CachePolicy, Simulation};
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::jacobi_experiment());
     let mut group = c.benchmark_group("jacobi");
     let j = jacobi_cdag(256, 1, 32, Stencil::VonNeumann);
-    let h = MemoryHierarchy::new(vec![
-        Level::new("L1", 1, 48),
-        Level::new("mem", 1, u64::MAX),
-    ])
-    .expect("valid");
-    let owner = vec![0usize; j.cdag.num_vertices()];
     let untiled = schedule::by_level(&j.cdag);
     let tiled = schedule::tiled_jacobi_1d(&j, 16);
-    group.bench_function("simulate/untiled", |b| {
-        b.iter(|| simulate(&j.cdag, &h, &untiled, &owner).total_dram_traffic())
-    });
-    group.bench_function("simulate/tiled_w16", |b| {
-        b.iter(|| simulate(&j.cdag, &h, &tiled, &owner).total_dram_traffic())
-    });
+    let mut sim = Simulation::new();
+    for (name, order) in [("untiled", &untiled), ("tiled_w16", &tiled)] {
+        group.bench_function(format!("simulate/{name}"), |b| {
+            b.iter(|| {
+                sim.run(&j.cdag, order, CachePolicy::Lru, 48)
+                    .expect("feasible")
+                    .io()
+            })
+        });
+    }
     group.bench_function("stencil_sweep_2d/n128", |b| {
         let u = vec![1.0f64; 128 * 128];
         let mut out = vec![0.0f64; 128 * 128];

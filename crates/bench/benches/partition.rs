@@ -3,17 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_cdag::topo::topological_order;
-use dmc_core::games::executor::{execute_rbw, EvictionPolicy};
+use dmc_core::games::executor::execute_rbw;
 use dmc_core::partition::construct::{from_trace, greedy_partition};
 use dmc_core::partition::validate_rbw;
 use dmc_kernels::matmul;
+use dmc_sim::CachePolicy;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::partition_experiment());
     let mut group = c.benchmark_group("partition");
     let g = matmul::matmul(5);
     let order = topological_order(&g);
-    let game = execute_rbw(&g, 16, &order, EvictionPolicy::Lru).expect("fits");
+    let game = execute_rbw(&g, 16, &order, CachePolicy::Lru).expect("fits");
     group.bench_function("from_trace/matmul5_s16", |b| {
         b.iter(|| from_trace(&g, &game.trace, 16).partition.num_blocks())
     });

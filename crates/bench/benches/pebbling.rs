@@ -1,11 +1,13 @@
 //! E10 — validation sandwich: prints the LB ≤ optimal ≤ heuristic table
-//! and benchmarks the game engines (exact solver, executor policies).
+//! and benchmarks the game engines (exact solver, recorded-game player
+//! under each eviction policy).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_cdag::topo::topological_order;
-use dmc_core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc_core::games::executor::certified_upper_bound;
 use dmc_core::games::optimal::{optimal_io, GameKind};
 use dmc_kernels::{chains, matmul};
+use dmc_sim::CachePolicy;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::pebbling_experiment());
@@ -16,11 +18,7 @@ fn bench(c: &mut Criterion) {
     });
     let g = matmul::matmul(6);
     let order = topological_order(&g);
-    for policy in [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Belady,
-        EvictionPolicy::Fifo,
-    ] {
+    for policy in [CachePolicy::Lru, CachePolicy::Opt] {
         group.bench_function(format!("executor/matmul6_s32_{policy:?}"), |b| {
             b.iter(|| certified_upper_bound(&g, 32, &order, policy).expect("fits"))
         });

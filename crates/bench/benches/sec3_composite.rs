@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dmc_cdag::topo::topological_order;
-use dmc_core::games::executor::{execute_rbw, EvictionPolicy};
+use dmc_core::games::executor::execute_rbw;
+use dmc_sim::CachePolicy;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::sec3_composite(&[2, 4, 8]));
@@ -16,7 +17,7 @@ fn bench(c: &mut Criterion) {
             b.iter_batched(
                 || (g.clone(), order.clone()),
                 |(g, order)| {
-                    execute_rbw(&g, s, &order, EvictionPolicy::Belady)
+                    execute_rbw(&g, s, &order, CachePolicy::Opt)
                         .expect("fits")
                         .io
                 },

@@ -1,11 +1,11 @@
 //! E15 — empirical validation: prints the sandwich table, then
-//! benchmarks the arena [`Simulation`] against the trace-building
-//! certified RBW executor on the same schedules (the arena skips trace
-//! materialization and game validation, which is the hot-path win), and
-//! the S-sweep driver's thread scaling.
+//! benchmarks a plain [`Simulation`] run against the certified upper
+//! bound on the same schedules (the same run with its moves recorded,
+//! plus the RBW validator's replay), and the S-sweep driver's thread
+//! scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmc_core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc_core::games::executor::certified_upper_bound;
 use dmc_kernels::catalog::Registry;
 use dmc_sim::simulation::{sweep, CachePolicy, Simulation};
 
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(format!("executor_lru/{spec_str}"), |b| {
             b.iter(|| {
-                certified_upper_bound(&g, 32, &sched.order, EvictionPolicy::Lru).expect("feasible")
+                certified_upper_bound(&g, 32, &sched.order, CachePolicy::Lru).expect("feasible")
             })
         });
     }

@@ -6,7 +6,7 @@ use dmc_core::analysis::analyze;
 use dmc_core::bounds::decompose::untag_inputs;
 use dmc_core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
 use dmc_core::bounds::IoBound;
-use dmc_core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc_core::games::executor::{certified_upper_bound, execute_rbw};
 use dmc_core::games::optimal::{optimal_io, GameKind};
 use dmc_core::parallel::horizontal::ghost_cell_upper_bound;
 use dmc_core::partition::construct::{from_trace, greedy_partition};
@@ -17,8 +17,9 @@ use dmc_kernels::profile::{cg_profile, gmres_profile, jacobi_profile};
 use dmc_kernels::{cg, chains, composite, fft, gmres, jacobi, matmul, outer};
 use dmc_machine::specs;
 use dmc_machine::MemoryHierarchy;
+use dmc_sim::hierarchy_sim::remote_reads;
 use dmc_sim::schedule;
-use dmc_sim::simulate;
+use dmc_sim::simulation::{CachePolicy, Simulation};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -56,7 +57,7 @@ pub fn sec3_composite(ns: &[usize]) -> String {
         let s = 4 * n + 4;
         let g = composite::composite(n);
         let order = topological_order(&g);
-        let exec = certified_upper_bound(&g, s, &order, EvictionPolicy::Belady)
+        let exec = certified_upper_bound(&g, s, &order, CachePolicy::Opt)
             .map(|v| v.to_string())
             .unwrap_or_else(|_| "-".into());
         let _ = writeln!(
@@ -103,24 +104,15 @@ pub fn cg_experiment() -> String {
         let ratio = 6.0 * (nodes as f64).powf(1.0 / 3.0) / (20.0 * 1000.0);
         let _ = writeln!(out, "  {nodes:<6} {ratio:.6}");
     }
-    // Ghost-cell measurement vs formula on a simulated block run.
+    // Ghost-cell words of a block-partitioned run vs the formula.
     let t = 2;
     let j = jacobi::jacobi_cdag(16, 1, t, Stencil::VonNeumann);
     let procs = 4;
-    let h = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", procs, 64),
-        dmc_machine::Level::new("mem", procs, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; MemoryHierarchy::new only rejects malformed level lists
-    .expect("valid");
-    let owner = schedule::jacobi_block_owner(&j, procs);
-    let r = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
+    let halo = remote_reads(&j.cdag, &schedule::jacobi_block_owner(&j, procs));
     let formula = ghost_cell_upper_bound(16, 1, procs, t) * procs as f64;
     let _ = writeln!(
         out,
-        "\nsimulated halo words (1-D proxy, n=16, T={t}, {procs} nodes): {} (formula total {:.0})",
-        r.total_horizontal(),
-        formula
+        "\nsimulated halo words (1-D proxy, n=16, T={t}, {procs} nodes): {halo} (formula total {formula:.0})",
     );
     out
 }
@@ -158,78 +150,45 @@ pub fn gmres_experiment() -> String {
 /// E6 — Theorem 10: Jacobi bounds, tiling ablation, critical dimensions.
 pub fn jacobi_experiment() -> String {
     let mut out = String::from("== E6 / Theorem 10 + §5.4: Jacobi stencils ==\n");
-    // Tiling ablation on 1-D Jacobi: DRAM traffic, by-level vs tiled.
-    // Write-backs are structural in the CDAG address model (every value is
-    // a distinct word, so all n·T results hit DRAM once under any
-    // schedule); the schedule-dependent signal is the *read* traffic,
-    // which is what the pebble-game bounds (with their R4 delete rule)
-    // constrain.
-    out.push_str("1-D tiling ablation (n=512, T=64, S1=48 words):\n");
-    out.push_str("schedule           DRAM reads   total(+writebacks)  reads vs LB\n");
+    // Tiling ablation: each schedule's RBW I/O (loads + stores; dead
+    // values leave for free by rule R4) in one LRU cache of S1 words —
+    // the quantity Theorem 10 bounds.
     let (n, t, s1) = (512usize, 64usize, 48u64);
     let j = jacobi::jacobi_cdag(n, 1, t, Stencil::VonNeumann);
-    let h = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", 1, s1),
-        dmc_machine::Level::new("mem", 1, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-    .expect("valid");
-    let owner = vec![0usize; j.cdag.num_vertices()];
-    let lb = jacobi::jacobi_io_lower_bound(n, 1, t, 1, s1);
-    let untiled = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
-    let _ = writeln!(
-        out,
-        "by-level (untiled) {:<12} {:<19} {:.1}x",
-        untiled.total_dram_reads(),
-        untiled.total_dram_traffic(),
-        untiled.total_dram_reads() as f64 / lb
-    );
+    let mut schedules = vec![(
+        "by-level (untiled)".to_string(),
+        schedule::by_level(&j.cdag),
+    )];
     for w in [8usize, 16, 32] {
-        let tiled = simulate(&j.cdag, &h, &schedule::tiled_jacobi_1d(&j, w), &owner);
-        let note = if 2 * w + 4 > s1 as usize {
-            "  <- 2w+4 > S: thrash cliff"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "tiled w={w:<3}         {:<12} {:<19} {:.1}x{note}",
-            tiled.total_dram_reads(),
-            tiled.total_dram_traffic(),
-            tiled.total_dram_reads() as f64 / lb
-        );
+        schedules.push((format!("tiled w={w}"), schedule::tiled_jacobi_1d(&j, w)));
     }
-    let _ = writeln!(out, "Theorem-10 LB      {lb:.0}");
+    tiling_ablation(
+        &mut out,
+        &format!("1-D tiling ablation (n={n}, T={t}, S1={s1} words, LRU):"),
+        &j.cdag,
+        &schedules,
+        s1,
+        jacobi::jacobi_io_lower_bound(n, 1, t, 1, s1),
+    );
     // 2-D ablation: the (2S)^{1/2} reuse regime.
-    out.push_str("\n2-D tiling ablation (n=48, T=12, Moore stencil, S1=96 words):\n");
-    out.push_str("schedule           DRAM reads   reads vs LB\n");
     let (n2, t2, s2) = (48usize, 12usize, 96u64);
     let j2 = jacobi::jacobi_cdag(n2, 2, t2, Stencil::Moore);
-    let h2 = MemoryHierarchy::new(vec![
-        dmc_machine::Level::new("L1", 1, s2),
-        dmc_machine::Level::new("mem", 1, u64::MAX),
-    ])
-    // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-    .expect("valid");
-    let owner2 = vec![0usize; j2.cdag.num_vertices()];
-    let lb2 = jacobi::jacobi_io_lower_bound(n2, 2, t2, 1, s2);
-    let untiled2 = simulate(&j2.cdag, &h2, &schedule::by_level(&j2.cdag), &owner2);
-    let _ = writeln!(
-        out,
-        "by-level (untiled) {:<12} {:.1}x",
-        untiled2.total_dram_reads(),
-        untiled2.total_dram_reads() as f64 / lb2
-    );
+    let mut schedules = vec![(
+        "by-level (untiled)".to_string(),
+        schedule::by_level(&j2.cdag),
+    )];
     for w in [4usize, 6, 8] {
-        let tiled = simulate(&j2.cdag, &h2, &schedule::tiled_jacobi_2d(&j2, w), &owner2);
-        let _ = writeln!(
-            out,
-            "tiled w={w:<3}         {:<12} {:.1}x",
-            tiled.total_dram_reads(),
-            tiled.total_dram_reads() as f64 / lb2
-        );
+        schedules.push((format!("tiled w={w}"), schedule::tiled_jacobi_2d(&j2, w)));
     }
-    let _ = writeln!(out, "Theorem-10 LB      {lb2:.0}");
+    out.push('\n');
+    tiling_ablation(
+        &mut out,
+        &format!("2-D tiling ablation (n={n2}, T={t2}, Moore stencil, S1={s2} words, LRU):"),
+        &j2.cdag,
+        &schedules,
+        s2,
+        jacobi::jacobi_io_lower_bound(n2, 2, t2, 1, s2),
+    );
     // Critical dimensions.
     out.push_str("\ncritical dimension (not bandwidth-bound iff d ≤ d*):\n");
     out.push_str("machine/level             beta     S(words)   d* (ours)  d* (paper rule)\n");
@@ -273,6 +232,35 @@ pub fn jacobi_experiment() -> String {
     out
 }
 
+/// One E6 ablation table: loads, RBW I/O and I/O over the Theorem-10
+/// lower bound `lb` of each named schedule, simulated under LRU at `s`.
+fn tiling_ablation(
+    out: &mut String,
+    title: &str,
+    g: &dmc_cdag::Cdag,
+    schedules: &[(String, Vec<dmc_cdag::VertexId>)],
+    s: u64,
+    lb: f64,
+) {
+    let _ = writeln!(out, "{title}");
+    out.push_str("schedule           loads        io           io vs LB\n");
+    let mut sim = Simulation::new();
+    for (name, order) in schedules {
+        let tr = sim
+            .run(g, order, CachePolicy::Lru, s)
+            // dmc-lint: allow(s1) -- hardcoded E6 tilings are topological orders and S1 exceeds the stencil footprint; exercised every repro run
+            .expect("E6 schedules are feasible");
+        let _ = writeln!(
+            out,
+            "{name:<18} {:<12} {:<12} {:.1}x",
+            tr.loads,
+            tr.io(),
+            tr.io() as f64 / lb
+        );
+    }
+    let _ = writeln!(out, "Theorem-10 LB      {lb:.0}");
+}
+
 /// E10 — Validation sandwich: LB ≤ optimal ≤ heuristic on small CDAGs,
 /// every graph built from a catalog spec string via the [`Registry`].
 pub fn pebbling_experiment() -> String {
@@ -303,8 +291,8 @@ pub fn pebbling_experiment() -> String {
         let lb = wavefront.value.max(IoBound::trivial(&g).value);
         let opt = optimal_io(&g, s, GameKind::Rbw);
         let order = topological_order(&g);
-        let lru = certified_upper_bound(&g, s, &order, EvictionPolicy::Lru).ok();
-        let bel = certified_upper_bound(&g, s, &order, EvictionPolicy::Belady).ok();
+        let lru = certified_upper_bound(&g, s, &order, CachePolicy::Lru).ok();
+        let bel = certified_upper_bound(&g, s, &order, CachePolicy::Opt).ok();
         let _ = writeln!(
             out,
             "{name:<24} {s:<3} {lb:<14.0} {:<13} {:<5} {}",
@@ -325,7 +313,7 @@ pub fn pebbling_experiment() -> String {
     for s in [16usize, 32, 64] {
         let analytic = matmul::matmul_io_lower_bound(6, s as u64);
         // dmc-lint: allow(s1) -- S=16 exceeds matmul(6) minimum feasible cache; Belady execution always fits, exercised every repro run
-        let ub = certified_upper_bound(&g, s, &order, EvictionPolicy::Belady).expect("fits");
+        let ub = certified_upper_bound(&g, s, &order, CachePolicy::Opt).expect("fits");
         let _ = writeln!(
             out,
             "matmul(6) S={s:<3}: analytic LB {analytic:.0} <= Belady UB {ub}"
@@ -337,7 +325,7 @@ pub fn pebbling_experiment() -> String {
     let g = outer::outer_product(n);
     let order = topological_order(&g);
     // dmc-lint: allow(s1) -- S=2n+2 is exactly the outer-product feasibility bound proven in dmc_kernels::outer; exercised every repro run
-    let io = certified_upper_bound(&g, 2 * n + 2, &order, EvictionPolicy::Belady).expect("fits");
+    let io = certified_upper_bound(&g, 2 * n + 2, &order, CachePolicy::Opt).expect("fits");
     let _ = writeln!(
         out,
         "outer({n}) S=2n+2: exec {io} == 2n+n^2 = {}",
@@ -1097,9 +1085,7 @@ pub fn partition_experiment() -> String {
     ] {
         let order = topological_order(&g);
         for s in [8usize, 16] {
-            let Ok(game) =
-                dmc_core::games::executor::execute_rbw(&g, s, &order, EvictionPolicy::Lru)
-            else {
+            let Ok(game) = execute_rbw(&g, s, &order, CachePolicy::Lru) else {
                 continue;
             };
             let tp = from_trace(&g, &game.trace, s);
@@ -1120,7 +1106,8 @@ pub fn partition_experiment() -> String {
     out
 }
 
-/// E12 — parallel accounting: P-RBW executor + simulator vs Theorem 7.
+/// E12 — parallel accounting: P-RBW executor + block-partition halo
+/// words vs Theorem 7.
 pub fn parallel_experiment() -> String {
     let mut out = String::from("== E12: parallel traffic vs Theorems 5-7 ==\n");
     // Owner-computes P-RBW game on a ladder across 2 nodes.
@@ -1142,22 +1129,15 @@ pub fn parallel_experiment() -> String {
         stats.total_horizontal(),
         stats.max_computes()
     );
-    // Simulator on block-partitioned Jacobi: halo words vs ghost formula.
+    // Block-partitioned Jacobi: owner-computes halo words vs ghost formula.
     out.push_str("\nblock-partitioned 1-D Jacobi halo traffic (simulated vs formula):\n");
     out.push_str("procs  simulated  ghost-formula(total)\n");
     let (n, t) = (64usize, 4usize);
     let j = jacobi::jacobi_cdag(n, 1, t, Stencil::VonNeumann);
     for procs in [2usize, 4, 8] {
-        let h = MemoryHierarchy::new(vec![
-            dmc_machine::Level::new("L1", procs, 32),
-            dmc_machine::Level::new("mem", procs, u64::MAX),
-        ])
-        // dmc-lint: allow(s1) -- hand-written two-level hierarchy literal; construction cannot fail for it
-        .expect("valid");
-        let owner = schedule::jacobi_block_owner(&j, procs);
-        let r = simulate(&j.cdag, &h, &schedule::by_level(&j.cdag), &owner);
+        let halo = remote_reads(&j.cdag, &schedule::jacobi_block_owner(&j, procs));
         let formula = ghost_cell_upper_bound(n, 1, procs, t) * procs as f64;
-        let _ = writeln!(out, "{procs:<6} {:<10} {formula:.0}", r.total_horizontal());
+        let _ = writeln!(out, "{procs:<6} {halo:<10} {formula:.0}");
     }
     out
 }
@@ -1378,6 +1358,95 @@ mod tests {
     fn parallel_experiment_within_formula() {
         let t = parallel_experiment();
         assert!(t.contains("remote gets"));
-        assert!(t.contains("ghost-formula"));
+        let header = t
+            .lines()
+            .position(|l| l.starts_with("procs  simulated  ghost-formula"))
+            .expect("halo table present");
+        let rows: Vec<Vec<&str>> = t
+            .lines()
+            .skip(header + 1)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [["2", "8", "16"], ["4", "24", "32"], ["8", "56", "64"]],
+            "{t}"
+        );
+    }
+
+    #[test]
+    fn sec3_composite_rbw_exec_column_is_pinned() {
+        let t = sec3_composite(&[2, 4, 8]);
+        let header = t
+            .lines()
+            .position(|l| l.starts_with("n    RBW-exec"))
+            .expect("executed-game table present");
+        let exec: Vec<&str> = t
+            .lines()
+            .skip(header + 1)
+            .take(3)
+            .map(|l| l.split_whitespace().nth(1).expect("RBW-exec column"))
+            .collect();
+        assert_eq!(exec, ["9", "193", "2169"], "{t}");
+    }
+
+    #[test]
+    fn cg_experiment_counts_the_block_halo() {
+        let t = cg_experiment();
+        assert!(
+            t.contains(
+                "simulated halo words (1-D proxy, n=16, T=2, 4 nodes): 12 (formula total 16)"
+            ),
+            "{t}"
+        );
+    }
+
+    #[test]
+    fn jacobi_tilings_respect_theorem_10() {
+        let t = jacobi_experiment();
+        let mut tables = 0;
+        let mut lines = t.lines();
+        while lines.any(|l| l.starts_with("schedule           loads")) {
+            // (io) per schedule row, by-level first, until the LB row.
+            let mut io = Vec::new();
+            let lb = loop {
+                let row: Vec<&str> = lines.next().expect("LB row").split_whitespace().collect();
+                if row[0] == "Theorem-10" {
+                    break row[2].parse::<f64>().expect("LB value");
+                }
+                io.push(row[row.len() - 2].parse::<u64>().expect("io column"));
+            };
+            assert_eq!(io.len(), 4, "by-level + three tilings:\n{t}");
+            assert!(io.iter().all(|&q| q as f64 >= lb), "io below LB {lb}:\n{t}");
+            let best_tiled = io[1..].iter().min().copied().expect("tiled rows");
+            assert!(best_tiled < io[0], "no tiling beats by-level:\n{t}");
+            tables += 1;
+        }
+        assert_eq!(tables, 2, "1-D and 2-D ablations:\n{t}");
+    }
+
+    #[test]
+    fn partition_ablation_pairs_are_pinned() {
+        let t = partition_experiment();
+        let pairs: Vec<(&str, &str)> = t
+            .lines()
+            .skip(2)
+            .map(|l| {
+                let c: Vec<&str> = l.split_whitespace().collect();
+                (c[2], c[3])
+            })
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                ("312", "39"),
+                ("271", "17"),
+                ("144", "18"),
+                ("108", "7"),
+                ("2", "1"),
+                ("2", "1")
+            ],
+            "q(LRU)/h(thm1) per row:\n{t}"
+        );
     }
 }

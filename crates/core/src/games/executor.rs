@@ -1,345 +1,74 @@
-//! Heuristic game players: given a CDAG, a red-pebble budget and a
+//! The RBW game player: given a CDAG, a red-pebble budget and a
 //! topological schedule, produce a *valid* RBW game trace — hence a
 //! certified **upper bound** on I/O for that budget.
 //!
-//! The player fires vertices in schedule order. Before firing `v` it makes
-//! every predecessor red (reloading spilled values from blue), then
-//! allocates a red pebble for `v`, evicting victims chosen by the
-//! [`EvictionPolicy`]. Evicting a live value (one with remaining unfired
-//! consumers, or an unsaved output) forces a store first — the RBW game
-//! cannot recompute.
+//! The player is the `dmc-sim` [`Simulation`]: it fires vertices in
+//! schedule order, makes every predecessor red (reloading spilled values
+//! from blue), evicts victims chosen by the [`EvictionPolicy`] (storing
+//! live ones first — the RBW game cannot recompute) and deletes dead
+//! values for free. [`execute_rbw`] is one recorded run of it;
+//! [`certified_upper_bound`] replays that recording through
+//! [`rbw::validate`], which shares no code with the player.
 //!
 //! Policies:
 //! * [`EvictionPolicy::Lru`] — least recently used;
-//! * [`EvictionPolicy::Belady`] — furthest next use in the given schedule
-//!   (the offline-optimal *replacement* rule — note this does not make the
-//!   whole game optimal, only the eviction decisions for the fixed order);
-//! * [`EvictionPolicy::Fifo`] — oldest resident first.
+//! * [`EvictionPolicy::Opt`] — furthest next use in the given schedule
+//!   (Belady's offline-optimal *replacement* rule — this does not make
+//!   the whole game optimal, only the eviction decisions for the fixed
+//!   order).
 
-use super::{GameError, GameTrace, Move};
-use dmc_cdag::topo::is_valid_topological_order;
+use super::{rbw, GameTrace};
 use dmc_cdag::{Cdag, VertexId};
+use dmc_sim::simulation::{SimError, Simulation};
 
-/// Victim-selection rule for the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used red pebble.
-    Lru,
-    /// Evict the red pebble whose next use in the schedule is furthest
-    /// away (Belady/MIN).
-    Belady,
-    /// Evict the red pebble resident the longest.
-    Fifo,
-}
+/// Victim-selection rule for the player — the simulator's policy.
+pub use dmc_sim::simulation::CachePolicy as EvictionPolicy;
 
-/// Outcome of a heuristic game.
+/// Outcome of a played game.
 #[derive(Debug, Clone)]
 pub struct ExecutedGame {
     /// The produced (valid) trace.
     pub trace: GameTrace,
     /// I/O cost `q` of the trace.
     pub io: u64,
-    /// Number of forced spill-stores (stores other than final outputs).
-    pub spill_stores: u64,
 }
 
-/// Errors from the executor itself (before any game rule is broken).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// The supplied schedule is not a topological order of the CDAG.
-    InvalidSchedule,
-    /// `S` is too small: firing some vertex needs `in_degree + 1` pebbles.
-    BudgetTooSmall {
-        /// The vertex that cannot be fired.
-        vertex: VertexId,
-        /// Minimum budget required for it.
-        required: usize,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::InvalidSchedule => write!(f, "schedule is not a topological order"),
-            ExecError::BudgetTooSmall { vertex, required } => {
-                write!(
-                    f,
-                    "budget too small: firing {vertex} needs {required} red pebbles"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// Runs the heuristic RBW player. Returns a certified-valid game whose I/O
+/// Plays the schedule with recording on. Returns a valid game whose I/O
 /// is an upper bound on `IO_S(C)` for this budget.
 pub fn execute_rbw(
     g: &Cdag,
     s: usize,
     schedule: &[VertexId],
     policy: EvictionPolicy,
-) -> Result<ExecutedGame, ExecError> {
-    if !is_valid_topological_order(g, schedule) {
-        return Err(ExecError::InvalidSchedule);
-    }
-    for &v in schedule {
-        let need = if g.is_input(v) { 1 } else { g.in_degree(v) + 1 };
-        if need > s {
-            return Err(ExecError::BudgetTooSmall {
-                vertex: v,
-                required: need,
-            });
-        }
-    }
-    let n = g.num_vertices();
-
-    // For Belady: positions where each vertex is *used* (consumed), in
-    // schedule order.
-    let mut pos = vec![0usize; n];
-    for (i, &v) in schedule.iter().enumerate() {
-        pos[v.index()] = i;
-    }
-    let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &v in schedule {
-        for &p in g.predecessors(v) {
-            uses[p.index()].push(pos[v.index()] as u32);
-        }
-    }
-    for u in &mut uses {
-        u.sort_unstable();
-    }
-
-    let mut sim = Simulator {
-        g,
-        s,
-        policy,
-        red: vec![false; n],
-        blue: {
-            let mut b = vec![false; n];
-            for i in g.inputs().iter() {
-                b[i] = true;
-            }
-            b
-        },
-        remaining_uses: (0..n).map(|i| uses[i].len() as u32).collect(),
-        uses,
-        next_use_cursor: vec![0; n],
-        resident: Vec::new(),
-        clock: 0,
-        last_touch: vec![0; n],
-        arrival: vec![0; n],
-        red_count: 0,
-        trace: GameTrace::default(),
-        spill_stores: 0,
-    };
-
-    for (step, &v) in schedule.iter().enumerate() {
-        sim.fire(v, step);
-    }
-    // Final: ensure all outputs are blue.
-    for v in g.vertices() {
-        if g.is_output(v) && !sim.blue[v.index()] {
-            // The output's red pebble may have been evicted — but eviction
-            // of a live output always stores first, so red or blue holds.
-            debug_assert!(sim.red[v.index()], "output {v} neither red nor blue");
-            sim.trace.moves.push(Move::Store(v));
-            sim.blue[v.index()] = true;
-        }
-    }
-    let io = sim.trace.io_count();
-    let spill_stores = sim.spill_stores;
-    Ok(ExecutedGame {
-        trace: sim.trace,
-        io,
-        spill_stores,
-    })
+) -> Result<ExecutedGame, SimError> {
+    let mut trace = GameTrace::default();
+    let t = Simulation::new().run_recorded(g, schedule, policy, s as u64, &mut trace.moves)?;
+    Ok(ExecutedGame { trace, io: t.io() })
 }
 
-struct Simulator<'a> {
-    g: &'a Cdag,
-    s: usize,
-    policy: EvictionPolicy,
-    red: Vec<bool>,
-    blue: Vec<bool>,
-    /// Unfired consumers remaining per vertex.
-    remaining_uses: Vec<u32>,
-    /// Sorted schedule positions where each vertex is consumed.
-    uses: Vec<Vec<u32>>,
-    next_use_cursor: Vec<u32>,
-    resident: Vec<VertexId>,
-    clock: u64,
-    last_touch: Vec<u64>,
-    arrival: Vec<u64>,
-    red_count: usize,
-    trace: GameTrace,
-    spill_stores: u64,
-}
-
-impl Simulator<'_> {
-    fn fire(&mut self, v: VertexId, step: usize) {
-        // 1. Make all predecessors red (pinned for this firing).
-        let preds: Vec<VertexId> = self.g.predecessors(v).to_vec();
-        for &p in &preds {
-            if !self.red[p.index()] {
-                self.make_room(&preds, v);
-                debug_assert!(self.blue[p.index()], "spilled value {p} lost without blue");
-                self.trace.moves.push(Move::Load(p));
-                self.place_red(p);
-            }
-            self.touch(p, step);
-        }
-        // 2. Allocate v's own pebble and fire (or load, for inputs).
-        if !self.red[v.index()] {
-            self.make_room(&preds, v);
-            if self.g.is_input(v) {
-                self.trace.moves.push(Move::Load(v));
-            } else {
-                self.trace.moves.push(Move::Compute(v));
-            }
-            self.place_red(v);
-        } else if !self.g.is_input(v) {
-            // Shouldn't happen: v cannot be red before firing in RBW.
-            unreachable!("vertex {v} red before firing");
-        }
-        self.touch(v, step);
-        // 3. Retire predecessors' use counts; drop dead pebbles eagerly.
-        for &p in &preds {
-            self.remaining_uses[p.index()] -= 1;
-            self.advance_cursor(p, step);
-            if self.is_dead(p) {
-                self.evict(p, /* needs_store: */ false);
-            }
-        }
-        // If v itself is dead on arrival (no consumers, not an output) we
-        // still keep it; the final pass stores outputs and dead values
-        // simply never cost I/O. But free the pebble if it has no future.
-        if self.is_dead(v) && !self.g.is_output(v) {
-            self.evict(v, false);
-        }
-    }
-
-    fn touch(&mut self, v: VertexId, _step: usize) {
-        self.clock += 1;
-        self.last_touch[v.index()] = self.clock;
-    }
-
-    fn advance_cursor(&mut self, p: VertexId, step: usize) {
-        let c = &mut self.next_use_cursor[p.index()];
-        let u = &self.uses[p.index()];
-        while (*c as usize) < u.len() && u[*c as usize] as usize <= step {
-            *c += 1;
-        }
-    }
-
-    fn is_dead(&self, v: VertexId) -> bool {
-        self.remaining_uses[v.index()] == 0 && (!self.g.is_output(v) || self.blue[v.index()])
-    }
-
-    fn place_red(&mut self, v: VertexId) {
-        debug_assert!(self.red_count < self.s);
-        self.red[v.index()] = true;
-        self.red_count += 1;
-        self.clock += 1;
-        self.arrival[v.index()] = self.clock;
-        self.resident.push(v);
-    }
-
-    /// Ensures a free pebble slot, never evicting `pinned` vertices or `v`.
-    fn make_room(&mut self, pinned: &[VertexId], v: VertexId) {
-        while self.red_count >= self.s {
-            let victim = self.choose_victim(pinned, v);
-            let needs_store = !self.is_dead_or_saved(victim);
-            self.evict(victim, needs_store);
-        }
-    }
-
-    fn is_dead_or_saved(&self, u: VertexId) -> bool {
-        self.blue[u.index()] || (self.remaining_uses[u.index()] == 0 && !self.g.is_output(u))
-    }
-
-    fn choose_victim(&mut self, pinned: &[VertexId], v: VertexId) -> VertexId {
-        let candidates: Vec<VertexId> = self
-            .resident
-            .iter()
-            .copied()
-            .filter(|u| *u != v && !pinned.contains(u))
-            .collect();
-        assert!(
-            !candidates.is_empty(),
-            "no evictable pebble: budget {} too small for in-degree of {v}",
-            self.s
-        );
-        match self.policy {
-            EvictionPolicy::Lru => candidates
-                .into_iter()
-                .min_by_key(|u| self.last_touch[u.index()])
-                // dmc-lint: allow(s1) -- the candidate list was just checked non-empty by the feasibility gate above
-                .expect("non-empty"),
-            EvictionPolicy::Fifo => candidates
-                .into_iter()
-                .min_by_key(|u| self.arrival[u.index()])
-                // dmc-lint: allow(s1) -- the candidate list was just checked non-empty by the feasibility gate above
-                .expect("non-empty"),
-            EvictionPolicy::Belady => {
-                // Furthest next use; dead values are infinitely far.
-                candidates
-                    .into_iter()
-                    .max_by_key(|u| {
-                        let c = self.next_use_cursor[u.index()] as usize;
-                        let us = &self.uses[u.index()];
-                        if c >= us.len() {
-                            u32::MAX
-                        } else {
-                            us[c]
-                        }
-                    })
-                    // dmc-lint: allow(s1) -- max over the non-empty eviction candidates computed above
-                    .expect("non-empty")
-            }
-        }
-    }
-
-    fn evict(&mut self, u: VertexId, needs_store: bool) {
-        if !self.red[u.index()] {
-            return;
-        }
-        if needs_store && !self.blue[u.index()] {
-            self.trace.moves.push(Move::Store(u));
-            self.blue[u.index()] = true;
-            if self.remaining_uses[u.index()] > 0 {
-                self.spill_stores += 1;
-            }
-        }
-        self.trace.moves.push(Move::Delete(u));
-        self.red[u.index()] = false;
-        self.red_count -= 1;
-        let idx = self
-            .resident
-            .iter()
-            .position(|&x| x == u)
-            // dmc-lint: allow(s1) -- victim was drawn from the resident list two lines up; absence is a bookkeeping bug
-            .expect("resident list consistent");
-        self.resident.swap_remove(idx);
-    }
-}
-
-/// Convenience: run the executor and certify its trace against the RBW
+/// Convenience: play the schedule and certify its trace against the RBW
 /// validator, returning the certified I/O count.
 pub fn certified_upper_bound(
     g: &Cdag,
     s: usize,
     schedule: &[VertexId],
     policy: EvictionPolicy,
-) -> Result<u64, ExecError> {
+) -> Result<u64, SimError> {
     let game = execute_rbw(g, s, schedule, policy)?;
-    let io = super::rbw::validate(g, s, &game.trace)
-        // dmc-lint: allow(s1) -- the executor emits rule-respecting moves by construction; an invalid game is an executor bug worth crashing loudly on, pinned by executor-vs-validator tests
-        .map_err(|e: GameError| panic!("executor produced invalid game: {e}"))
-        // dmc-lint: allow(s1) -- unreachable companion of the map_err panic above: the Err arm diverges
-        .expect("validated");
-    Ok(io)
+    Ok(certify(g, s, &game.trace))
+}
+
+/// The I/O count [`rbw::validate`] certifies for a game the simulator
+/// recorded with `s` red pebbles.
+///
+/// # Panics
+///
+/// Panics if the validator rejects the game: the simulator plays by the
+/// RBW rules by construction, so a rejection is a player bug.
+pub(crate) fn certify(g: &Cdag, s: usize, game: &GameTrace) -> u64 {
+    rbw::validate(g, s, game)
+        // dmc-lint: allow(s1) -- the simulator emits rule-respecting moves by construction; an invalid game is a player bug worth crashing loudly on, pinned by the recorded-game tests
+        .unwrap_or_else(|e| panic!("simulator recorded an invalid game: {e}"))
 }
 
 #[cfg(test)]
@@ -347,6 +76,8 @@ mod tests {
     use super::*;
     use dmc_cdag::topo::topological_order;
     use dmc_cdag::CdagBuilder;
+
+    const POLICIES: [EvictionPolicy; 2] = [EvictionPolicy::Lru, EvictionPolicy::Opt];
 
     fn diamond() -> Cdag {
         let mut b = CdagBuilder::new();
@@ -362,11 +93,7 @@ mod tests {
     fn diamond_with_ample_memory_costs_two() {
         let g = diamond();
         let order = topological_order(&g);
-        for policy in [
-            EvictionPolicy::Lru,
-            EvictionPolicy::Belady,
-            EvictionPolicy::Fifo,
-        ] {
+        for policy in POLICIES {
             let io = certified_upper_bound(&g, 4, &order, policy).unwrap();
             assert_eq!(io, 2, "{policy:?}: load a + store d");
         }
@@ -378,7 +105,7 @@ mod tests {
         let order = topological_order(&g);
         // S = 3: firing d needs b, c, d. a must be evicted (free: it's an
         // input). Optimal: still 2 I/O.
-        let io = certified_upper_bound(&g, 3, &order, EvictionPolicy::Belady).unwrap();
+        let io = certified_upper_bound(&g, 3, &order, EvictionPolicy::Opt).unwrap();
         assert_eq!(io, 2);
     }
 
@@ -387,13 +114,10 @@ mod tests {
         let g = dmc_kernels::matmul::matmul(3);
         let order = topological_order(&g);
         for s in [4usize, 6, 10, 32] {
-            for policy in [
-                EvictionPolicy::Lru,
-                EvictionPolicy::Belady,
-                EvictionPolicy::Fifo,
-            ] {
-                let io = certified_upper_bound(&g, s, &order, policy).unwrap();
-                assert!(io >= (g.num_inputs() + g.num_outputs()) as u64);
+            for policy in POLICIES {
+                let game = execute_rbw(&g, s, &order, policy).unwrap();
+                assert_eq!(rbw::validate(&g, s, &game.trace), Ok(game.io));
+                assert!(game.io >= (g.num_inputs() + g.num_outputs()) as u64);
             }
         }
     }
@@ -404,8 +128,8 @@ mod tests {
         let order = topological_order(&g);
         for s in [6usize, 8, 16] {
             let lru = certified_upper_bound(&g, s, &order, EvictionPolicy::Lru).unwrap();
-            let belady = certified_upper_bound(&g, s, &order, EvictionPolicy::Belady).unwrap();
-            assert!(belady <= lru, "S={s}: belady {belady} > lru {lru}");
+            let opt = certified_upper_bound(&g, s, &order, EvictionPolicy::Opt).unwrap();
+            assert!(opt <= lru, "S={s}: opt {opt} > lru {lru}");
         }
     }
 
@@ -415,7 +139,7 @@ mod tests {
         let order = topological_order(&g);
         let mut prev = u64::MAX;
         for s in [6usize, 8, 12, 24, 48] {
-            let io = certified_upper_bound(&g, s, &order, EvictionPolicy::Belady).unwrap();
+            let io = certified_upper_bound(&g, s, &order, EvictionPolicy::Opt).unwrap();
             assert!(io <= prev, "S={s}: {io} > {prev}");
             prev = io;
         }
@@ -426,7 +150,7 @@ mod tests {
         let g = diamond();
         let order = topological_order(&g);
         let err = execute_rbw(&g, 2, &order, EvictionPolicy::Lru).unwrap_err();
-        assert!(matches!(err, ExecError::BudgetTooSmall { .. }));
+        assert!(matches!(err, SimError::BudgetTooSmall { .. }));
     }
 
     #[test]
@@ -435,7 +159,7 @@ mod tests {
         let mut order = topological_order(&g);
         order.reverse();
         let err = execute_rbw(&g, 4, &order, EvictionPolicy::Lru).unwrap_err();
-        assert_eq!(err, ExecError::InvalidSchedule);
+        assert_eq!(err, SimError::InvalidSchedule);
     }
 
     #[test]
@@ -444,10 +168,10 @@ mod tests {
         // costs exactly 2n loads + n² stores.
         let g = dmc_kernels::outer::outer_product(5);
         let order = topological_order(&g);
-        let io = certified_upper_bound(&g, 16, &order, EvictionPolicy::Belady).unwrap();
+        let io = certified_upper_bound(&g, 16, &order, EvictionPolicy::Opt).unwrap();
         assert_eq!(io, dmc_kernels::outer::outer_product_exact_io(5));
         // Under pressure (S = 8 < 2n + 1) inputs get reloaded: io grows.
-        let tight = certified_upper_bound(&g, 8, &order, EvictionPolicy::Belady).unwrap();
+        let tight = certified_upper_bound(&g, 8, &order, EvictionPolicy::Opt).unwrap();
         assert!(tight >= io);
     }
 }

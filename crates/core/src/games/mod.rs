@@ -5,8 +5,9 @@
 //! * [`rbw`] — the Red-Blue-White game (Definition 4), no recomputation;
 //! * [`prbw`] — the Parallel RBW game (Definition 6) on memory
 //!   hierarchies;
-//! * [`executor`] — heuristic players producing valid games (and thus
-//!   I/O *upper* bounds) from a schedule and an eviction policy;
+//! * [`executor`] — the RBW player: a schedule and an eviction policy
+//!   played on the `dmc-sim` simulator with its moves recorded, then
+//!   certified by [`rbw::validate`] — an I/O *upper* bound;
 //! * [`optimal`] — exact optimal-I/O search for tiny CDAGs, used to
 //!   validate every lower bound in the test suite.
 
@@ -18,33 +19,9 @@ pub mod redblue;
 
 use dmc_cdag::VertexId;
 
-/// A single move of the sequential games (shared by RB and RBW; the
-/// parallel game has its own richer move type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Move {
-    /// R1 — place a red pebble on a blue-pebbled vertex (load).
-    Load(VertexId),
-    /// R2 — place a blue pebble on a red-pebbled vertex (store).
-    Store(VertexId),
-    /// R3 — fire a vertex whose predecessors all hold red pebbles.
-    Compute(VertexId),
-    /// R4 — remove a red pebble (free storage).
-    Delete(VertexId),
-}
-
-impl Move {
-    /// `true` for the two I/O moves (R1 and R2).
-    pub fn is_io(self) -> bool {
-        matches!(self, Move::Load(_) | Move::Store(_))
-    }
-
-    /// The vertex the move touches.
-    pub fn vertex(self) -> VertexId {
-        match self {
-            Move::Load(v) | Move::Store(v) | Move::Compute(v) | Move::Delete(v) => v,
-        }
-    }
-}
+/// A single move of the sequential games. The RBW player that records
+/// games lives in `dmc-sim`, so the type is defined there.
+pub use dmc_sim::simulation::Move;
 
 /// A complete recorded game: the sequence of moves.
 #[derive(Debug, Clone, Default)]

@@ -13,12 +13,13 @@
 //!   all tagged outputs.
 
 use super::{GameError, GameTrace, Move};
-use dmc_cdag::{BitSet, Cdag};
+use dmc_cdag::{BitSet, Cdag, VertexId};
 
 /// Replay state of an RBW game.
 #[derive(Debug, Clone)]
 pub struct RbwState {
-    /// Vertices currently holding a red pebble.
+    /// Vertices currently holding a red pebble. Change it only through
+    /// [`RbwState::apply`], which keeps the budget count in step.
     pub red: BitSet,
     /// Vertices currently holding a blue pebble.
     pub blue: BitSet,
@@ -27,6 +28,9 @@ pub struct RbwState {
     pub white: BitSet,
     /// Red-pebble budget `S`.
     pub s: usize,
+    /// `red.len()`, kept by [`RbwState::apply`] so the budget check is
+    /// O(1) per move instead of a popcount of the whole set.
+    reds: usize,
 }
 
 impl RbwState {
@@ -37,7 +41,21 @@ impl RbwState {
             blue: g.inputs().clone(),
             white: BitSet::new(g.num_vertices()),
             s,
+            reds: 0,
         }
+    }
+
+    /// Places a red pebble on `v` unless the budget is full. Placing one
+    /// on an already-red vertex is free.
+    fn place_red(&mut self, v: VertexId) -> Result<(), GameError> {
+        if !self.red.contains(v.index()) {
+            if self.reds >= self.s {
+                return Err(GameError::RedBudgetExceeded(v));
+            }
+            self.red.insert(v.index());
+            self.reds += 1;
+        }
+        Ok(())
     }
 
     /// Applies one move, enforcing rules R1–R4 of Definition 4.
@@ -47,10 +65,7 @@ impl RbwState {
                 if !self.blue.contains(v.index()) {
                     return Err(GameError::LoadWithoutBlue(v));
                 }
-                if !self.red.contains(v.index()) && self.red.len() >= self.s {
-                    return Err(GameError::RedBudgetExceeded(v));
-                }
-                self.red.insert(v.index());
+                self.place_red(v)?;
                 self.white.insert(v.index()); // R1 also whitens
             }
             Move::Store(v) => {
@@ -73,16 +88,14 @@ impl RbwState {
                 {
                     return Err(GameError::ComputeWithoutPreds(v));
                 }
-                if !self.red.contains(v.index()) && self.red.len() >= self.s {
-                    return Err(GameError::RedBudgetExceeded(v));
-                }
-                self.red.insert(v.index());
+                self.place_red(v)?;
                 self.white.insert(v.index());
             }
             Move::Delete(v) => {
                 if !self.red.remove(v.index()) {
                     return Err(GameError::DeleteWithoutRed(v));
                 }
+                self.reds -= 1;
             }
         }
         Ok(())
@@ -120,7 +133,6 @@ pub fn validate(g: &Cdag, s: usize, trace: &GameTrace) -> Result<u64, GameError>
 mod tests {
     use super::*;
     use dmc_cdag::CdagBuilder;
-    use dmc_cdag::VertexId;
 
     fn tiny() -> Cdag {
         let mut b = CdagBuilder::new();
@@ -233,6 +245,63 @@ mod tests {
             ],
         };
         assert_eq!(validate(&g, 3, &trace).unwrap(), 2);
+    }
+
+    #[test]
+    fn red_budget_is_exact() {
+        // a(in) -> b -> c(out): firing b with a still red takes two
+        // pebbles, so one pebble is one too few.
+        let g = tiny();
+        let (a, x, c) = (VertexId(0), VertexId(1), VertexId(2));
+        let trace = GameTrace {
+            moves: vec![Move::Load(a), Move::Compute(x)],
+        };
+        assert_eq!(
+            validate(&g, 1, &trace).unwrap_err(),
+            GameError::RedBudgetExceeded(x)
+        );
+        // At exactly S = 2 a Delete frees the pebble the next placement
+        // needs — spill b, drop it, reload it while a is still red.
+        let trace = GameTrace {
+            moves: vec![
+                Move::Load(a),
+                Move::Compute(x),
+                Move::Store(x),
+                Move::Delete(x),
+                Move::Load(x),
+                Move::Delete(a),
+                Move::Compute(c),
+                Move::Store(c),
+            ],
+        };
+        assert_eq!(validate(&g, 2, &trace).unwrap(), 4);
+        // Without the Delete of a, the final Compute is one pebble over.
+        let mut over = trace.clone();
+        over.moves.remove(5);
+        assert_eq!(
+            validate(&g, 2, &over).unwrap_err(),
+            GameError::RedBudgetExceeded(c)
+        );
+    }
+
+    #[test]
+    fn each_rule_reports_its_own_violation() {
+        let g = tiny();
+        let (a, x, c) = (VertexId(0), VertexId(1), VertexId(2));
+        let cases = [
+            (vec![Move::Load(x)], GameError::LoadWithoutBlue(x)),
+            (vec![Move::Store(a)], GameError::StoreWithoutRed(a)),
+            (vec![Move::Delete(a)], GameError::DeleteWithoutRed(a)),
+            (vec![Move::Compute(a)], GameError::ComputeInput(a)),
+            (
+                vec![Move::Load(a), Move::Compute(x), Move::Compute(c)],
+                GameError::OutputNotStored(c),
+            ),
+        ];
+        for (moves, want) in cases {
+            let trace = GameTrace { moves };
+            assert_eq!(validate(&g, 3, &trace).unwrap_err(), want, "{trace:?}");
+        }
     }
 
     #[test]

@@ -7,17 +7,21 @@
 //! Hong–Kung form: every source an input, every sink an output.
 
 use super::{GameError, GameTrace, Move};
-use dmc_cdag::{BitSet, Cdag};
+use dmc_cdag::{BitSet, Cdag, VertexId};
 
 /// Replay state of a red-blue game.
 #[derive(Debug, Clone)]
 pub struct RedBlueState {
-    /// Vertices currently holding a red pebble.
+    /// Vertices currently holding a red pebble. Change it only through
+    /// [`RedBlueState::apply`], which keeps the budget count in step.
     pub red: BitSet,
     /// Vertices currently holding a blue pebble.
     pub blue: BitSet,
     /// Red-pebble budget `S`.
     pub s: usize,
+    /// `red.len()`, kept by [`RedBlueState::apply`] so the budget check
+    /// is O(1) per move instead of a popcount of the whole set.
+    reds: usize,
 }
 
 impl RedBlueState {
@@ -27,7 +31,21 @@ impl RedBlueState {
             red: BitSet::new(g.num_vertices()),
             blue: g.inputs().clone(),
             s,
+            reds: 0,
         }
+    }
+
+    /// Places a red pebble on `v` unless the budget is full. Placing one
+    /// on an already-red vertex is free.
+    fn place_red(&mut self, v: VertexId) -> Result<(), GameError> {
+        if !self.red.contains(v.index()) {
+            if self.reds >= self.s {
+                return Err(GameError::RedBudgetExceeded(v));
+            }
+            self.red.insert(v.index());
+            self.reds += 1;
+        }
+        Ok(())
     }
 
     /// Applies one move, enforcing rules R1–R4.
@@ -37,10 +55,7 @@ impl RedBlueState {
                 if !self.blue.contains(v.index()) {
                     return Err(GameError::LoadWithoutBlue(v));
                 }
-                if !self.red.contains(v.index()) && self.red.len() >= self.s {
-                    return Err(GameError::RedBudgetExceeded(v));
-                }
-                self.red.insert(v.index());
+                self.place_red(v)?;
             }
             Move::Store(v) => {
                 if !self.red.contains(v.index()) {
@@ -59,15 +74,13 @@ impl RedBlueState {
                 {
                     return Err(GameError::ComputeWithoutPreds(v));
                 }
-                if !self.red.contains(v.index()) && self.red.len() >= self.s {
-                    return Err(GameError::RedBudgetExceeded(v));
-                }
-                self.red.insert(v.index());
+                self.place_red(v)?;
             }
             Move::Delete(v) => {
                 if !self.red.remove(v.index()) {
                     return Err(GameError::DeleteWithoutRed(v));
                 }
+                self.reds -= 1;
             }
         }
         Ok(())
@@ -96,7 +109,6 @@ pub fn validate(g: &Cdag, s: usize, trace: &GameTrace) -> Result<u64, GameError>
 mod tests {
     use super::*;
     use dmc_cdag::CdagBuilder;
-    use dmc_cdag::VertexId;
 
     fn tiny() -> Cdag {
         // a(in) -> b -> c(out)

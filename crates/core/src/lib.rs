@@ -30,7 +30,7 @@
 //! * **Empirical validation** ([`validate`]): catalog kernels executed on
 //!   the `dmc-sim` cache simulator along their own schedule hooks, the
 //!   measured I/O sandwiched per `S` between the pipeline's certified
-//!   lower bound and the RBW executor's certified upper bound.
+//!   lower bound and the RBW validator's count of the recorded LRU game.
 //! * **Machine validation** ([`machine_validate`]): the same sandwich at
 //!   every boundary of a [`dmc_machine::MachineSpec`]'s node hierarchy,
 //!   under a deterministic P-processor wavefront split, with Equation-7/8

@@ -9,7 +9,7 @@
 //! (round-robin over Kahn wavefronts, barrier semantics), and the split
 //! schedule is measured at every cache boundary of the hierarchy exactly
 //! as [`HierarchySimulation`](dmc_sim::HierarchySimulation) does — one
-//! [`Simulation`] per boundary at its
+//! [`Simulation`](dmc_sim::Simulation) per boundary at its
 //! [`effective_capacities`] entry, fanned out over worker threads with an
 //! index-ordered merge so reports stay bit-identical at any thread count.
 //!
@@ -18,6 +18,9 @@
 //! ```text
 //! pipeline LB at C_l  ≤  measured(OPT)  ≤  measured(LRU)  ≤  RBW UB at C_l
 //! ```
+//!
+//! where the RBW UB is the rule checker's count of the recorded LRU game
+//! at `C_l`, exactly as in [`crate::validate`].
 //!
 //! The lower side runs the full portfolio — including the Lemma-2
 //! parallel wavefront bound, whose name surfaces in `lower_method` when
@@ -32,18 +35,16 @@
 //! lower bound.
 
 use crate::pipeline::{Analyzer, AnalyzerConfig};
-use crate::validate::trace_json;
+use crate::validate::{measure_row, trace_json, RowArena};
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::Cdag;
 use dmc_kernels::catalog::{KernelSpec, Registry, SpecError};
 use dmc_machine::{BandwidthVerdict, Constraint, MachineSpec};
 use dmc_sim::hierarchy_sim::{effective_capacities, split_round_robin, Inclusion};
-use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation, Trace};
+use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Trace};
 use serde::json::Value;
 use serde::Serialize;
 use std::fmt;
-
-use crate::games::executor::{certified_upper_bound, EvictionPolicy};
 
 /// One hierarchy boundary of a [`MachineValidationReport`]: the sandwich
 /// at that level's aggregate capacity plus, on the DRAM boundary, the
@@ -69,7 +70,8 @@ pub struct MachineLevelPoint {
     pub measured_opt: Option<Trace>,
     /// Measured boundary traffic under LRU replacement.
     pub measured_lru: Option<Trace>,
-    /// The RBW executor's certified upper bound for the same schedule.
+    /// The certified upper bound for the same schedule: the RBW
+    /// validator's count of the recorded LRU game.
     pub certified_upper: Option<u64>,
     /// Machine balance compared at this boundary (words/FLOP) — only the
     /// boundary into DRAM has one; inner boundaries carry `None`.
@@ -335,7 +337,7 @@ impl Analyzer {
     /// node's cores, measured at every cache boundary of the machine's
     /// hierarchy (built with `s1` words of level-1 storage per core),
     /// and each boundary is sandwiched between the pipeline's certified
-    /// lower bound and the RBW executor's certified upper bound. The
+    /// lower bound and the validated recorded LRU game's upper bound. The
     /// DRAM boundary and the network traffic additionally get the
     /// Equation-7/8 roofline verdicts.
     ///
@@ -393,7 +395,7 @@ impl Analyzer {
         };
         let dram_boundary = caps.len();
         let workers = self.resolved_threads(caps.len());
-        let levels = fan_out_indexed(caps.len(), workers, Simulation::new, |sim, i| {
+        let levels = fan_out_indexed(caps.len(), workers, RowArena::default, |arena, i| {
             let (name, effective) = &caps[i];
             let level = i + 1;
             let balance = (level == dram_boundary).then(|| machine.vertical_balance());
@@ -408,7 +410,7 @@ impl Analyzer {
                 balance,
                 flops,
                 policy,
-                sim,
+                arena,
             )
         });
         let rpf = split.remote_reads as f64 / flops.max(1.0);
@@ -451,7 +453,7 @@ impl Analyzer {
         balance: Option<f64>,
         flops: f64,
         policy: Option<CachePolicy>,
-        sim: &mut Simulation,
+        arena: &mut RowArena,
     ) -> MachineLevelPoint {
         // The certified lower bound at this boundary's aggregate
         // capacity — the full portfolio (wavefront, partition, …), run
@@ -486,28 +488,11 @@ impl Analyzer {
             ));
             return point;
         }
-        let want = |p: CachePolicy| policy.is_none() || policy == Some(p);
-        if want(CachePolicy::Opt) {
-            point.measured_opt = Some(
-                sim.run(g, order, CachePolicy::Opt, effective)
-                    // dmc-lint: allow(s1) -- feasibility of this capacity was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        if want(CachePolicy::Lru) {
-            point.measured_lru = Some(
-                sim.run(g, order, CachePolicy::Lru, effective)
-                    // dmc-lint: allow(s1) -- feasibility of this capacity was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        point.certified_upper = certified_upper_bound(
-            g,
-            usize::try_from(effective).unwrap_or(usize::MAX),
-            order,
-            EvictionPolicy::Lru,
-        )
-        .ok();
+        (
+            point.measured_opt,
+            point.measured_lru,
+            point.certified_upper,
+        ) = measure_row(g, order, effective, policy, arena);
         if let Some(b) = balance {
             // Equations 7–8 at this boundary: certified LB/FLOP on the
             // lower side, the *measured* LRU traffic (an achieved

@@ -12,9 +12,12 @@
 //!    sweep under both [`CachePolicy::Opt`] (Belady replacement) and
 //!    [`CachePolicy::Lru`];
 //! 3. the bound machinery supplies the two certified sides: the
-//!    [`Analyzer`] pipeline's lower bound at the same `S`, and the RBW
-//!    game executor's validated upper bound for the *same schedule*
-//!    ([`certified_upper_bound`]).
+//!    [`Analyzer`] pipeline's lower bound at the same `S`, and the upper
+//!    bound of the *same schedule*: the LRU run is recorded move by move
+//!    ([`Simulation::run_recorded`]) and replayed through the independent
+//!    RBW rule checker
+//!    [`rbw::validate`](crate::games::rbw::validate), whose count is the
+//!    certified upper bound.
 //!
 //! Because every simulated run corresponds to a valid RBW game, the
 //! sandwich invariant
@@ -34,11 +37,12 @@
 //! arena per worker) with an index-ordered merge, so reports are
 //! **bit-identical at any thread count**.
 
-use crate::games::executor::{certified_upper_bound, EvictionPolicy};
+use crate::games::executor::certify;
+use crate::games::GameTrace;
 use crate::pipeline::{Analyzer, AnalyzerConfig};
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::topo::is_valid_topological_order;
-use dmc_cdag::Cdag;
+use dmc_cdag::{Cdag, VertexId};
 use dmc_kernels::catalog::{KernelSpec, Registry, SpecError};
 use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation, Trace};
 use serde::json::Value;
@@ -61,8 +65,8 @@ pub struct ValidationPoint {
     /// Measured traffic under LRU replacement, when measured and
     /// feasible.
     pub measured_lru: Option<Trace>,
-    /// The RBW executor's certified upper bound for the same schedule
-    /// (LRU eviction, validated game).
+    /// The certified upper bound for the same schedule: the RBW
+    /// validator's count of the recorded LRU game.
     pub certified_upper: Option<u64>,
     /// The kernel's closed-form achievable bound at this `S`, when the
     /// catalog provides one (displayed, never part of the sandwich).
@@ -96,6 +100,46 @@ impl ValidationPoint {
         }
         Some(ok)
     }
+}
+
+/// Per-worker scratch of the sandwich measurements: the simulator arena
+/// and the buffer its recorded LRU game is written into.
+#[derive(Debug, Default)]
+pub(crate) struct RowArena {
+    sim: Simulation,
+    game: GameTrace,
+}
+
+/// The measured side of one sandwich row at capacity `s`, as
+/// `(OPT, LRU, certified upper)`: OPT when `policy` wants it, then one
+/// recorded LRU game — its trace is the LRU column when wanted, and the
+/// validator's count of its moves is the certified upper bound either
+/// way.
+///
+/// `order` must be a topological order of `g` and `s` at least
+/// [`min_feasible_capacity`]; callers check both first.
+pub(crate) fn measure_row(
+    g: &Cdag,
+    order: &[VertexId],
+    s: u64,
+    policy: Option<CachePolicy>,
+    arena: &mut RowArena,
+) -> (Option<Trace>, Option<Trace>, Option<u64>) {
+    let want = |p: CachePolicy| policy.is_none() || policy == Some(p);
+    let opt = want(CachePolicy::Opt).then(|| {
+        arena
+            .sim
+            .run(g, order, CachePolicy::Opt, s)
+            // dmc-lint: allow(s1) -- the caller checked the order and this capacity's feasibility before measuring
+            .expect("feasibility pre-checked")
+    });
+    let lru = arena
+        .sim
+        .run_recorded(g, order, CachePolicy::Lru, s, &mut arena.game.moves)
+        // dmc-lint: allow(s1) -- the caller checked the order and this capacity's feasibility before measuring
+        .expect("feasibility pre-checked");
+    let upper = certify(g, usize::try_from(s).unwrap_or(usize::MAX), &arena.game);
+    (opt, want(CachePolicy::Lru).then_some(lru), Some(upper))
 }
 
 pub(crate) fn trace_json(t: &Trace) -> Value {
@@ -249,7 +293,8 @@ impl Analyzer {
     /// CDAG once, and validates it empirically at every capacity in
     /// `srams`: the kernel's schedule is simulated under the requested
     /// cache policies and sandwiched between this analyzer's certified
-    /// lower bound and the RBW executor's certified upper bound.
+    /// lower bound and the RBW validator's count of the recorded LRU
+    /// game (filled under either policy filter).
     ///
     /// `policy` restricts the measurement (`None` = both policies — the
     /// full sandwich). Sweep points fan out over the analyzer's
@@ -303,8 +348,8 @@ impl Analyzer {
         policy: Option<CachePolicy>,
     ) -> ValidationReport {
         let workers = self.resolved_threads(srams.len());
-        let points = fan_out_indexed(srams.len(), workers, Simulation::new, |sim, i| {
-            self.validation_point(spec, g, srams[i], policy, sim)
+        let points = fan_out_indexed(srams.len(), workers, RowArena::default, |arena, i| {
+            self.validation_point(spec, g, srams[i], policy, arena)
         });
         ValidationReport {
             spec: spec.render(),
@@ -322,7 +367,7 @@ impl Analyzer {
         g: &Cdag,
         s: u64,
         policy: Option<CachePolicy>,
-        sim: &mut Simulation,
+        arena: &mut RowArena,
     ) -> ValidationPoint {
         let sched = spec.schedule_source(g, s);
         assert!(
@@ -364,28 +409,11 @@ impl Analyzer {
             ));
             return point;
         }
-        let want = |p: CachePolicy| policy.is_none() || policy == Some(p);
-        if want(CachePolicy::Opt) {
-            point.measured_opt = Some(
-                sim.run(g, &sched.order, CachePolicy::Opt, s)
-                    // dmc-lint: allow(s1) -- feasibility of this S was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        if want(CachePolicy::Lru) {
-            point.measured_lru = Some(
-                sim.run(g, &sched.order, CachePolicy::Lru, s)
-                    // dmc-lint: allow(s1) -- feasibility of this S was established by the pre-check above before the schedule replay
-                    .expect("feasibility pre-checked"),
-            );
-        }
-        point.certified_upper = certified_upper_bound(
-            g,
-            usize::try_from(s).unwrap_or(usize::MAX),
-            &sched.order,
-            EvictionPolicy::Lru,
-        )
-        .ok();
+        (
+            point.measured_opt,
+            point.measured_lru,
+            point.certified_upper,
+        ) = measure_row(g, &sched.order, s, policy, arena);
         point
     }
 }
@@ -393,6 +421,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::games::rbw;
 
     fn analyzer(threads: usize) -> Analyzer {
         Analyzer::new(AnalyzerConfig {
@@ -423,24 +452,32 @@ mod tests {
     }
 
     #[test]
-    fn measured_lru_matches_the_certified_executor_exactly() {
-        // The fast arena simulator and the trace-validated game executor
-        // are independent implementations of the same LRU semantics —
-        // they must agree to the word.
+    fn recorded_games_validate_to_their_measured_io() {
+        // Every default kernel's schedule, both policies: the simulator's
+        // recorded game replays cleanly through the RBW rule checker,
+        // which counts exactly the I/O the simulator measured.
         let registry = Registry::shared();
-        for name in ["jacobi", "matmul", "fft", "composite", "ladder", "scan"] {
+        let mut sim = Simulation::new();
+        let mut game = GameTrace::default();
+        for name in registry.names() {
             let spec = registry.defaults(name).expect("registered");
-            let r = analyzer(1).validate_kernel(&spec, &[8, 16, 64], None);
-            for p in &r.points {
-                if p.infeasible.is_some() {
+            let g = spec.build();
+            for s in [8u64, 16, 64] {
+                if (min_feasible_capacity(&g) as u64) > s {
                     continue;
                 }
-                assert_eq!(
-                    p.measured_lru.as_ref().map(|t| t.io()),
-                    p.certified_upper,
-                    "{name} @ S={}",
-                    p.sram
-                );
+                let order = spec.schedule_source(&g, s).order;
+                for policy in [CachePolicy::Lru, CachePolicy::Opt] {
+                    let t = sim
+                        .run_recorded(&g, &order, policy, s, &mut game.moves)
+                        .expect("feasible");
+                    assert_eq!(
+                        rbw::validate(&g, s as usize, &game),
+                        Ok(t.io()),
+                        "{name} @ S={s} {policy}"
+                    );
+                    assert_eq!(sim.run(&g, &order, policy, s), Ok(t), "{name} @ S={s}");
+                }
             }
         }
     }
@@ -474,6 +511,12 @@ mod tests {
             .expect("valid");
         assert!(opt_only.points[0].measured_opt.is_some());
         assert!(opt_only.points[0].measured_lru.is_none());
+        // UB is the recorded LRU game's certified count, so it is filled
+        // whichever columns are measured.
+        let lru_io = lru_only.points[0].measured_lru.map(|t| t.io());
+        assert!(lru_io.is_some());
+        assert_eq!(lru_only.points[0].certified_upper, lru_io);
+        assert_eq!(opt_only.points[0].certified_upper, lru_io);
     }
 
     #[test]

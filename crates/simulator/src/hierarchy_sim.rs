@@ -26,7 +26,8 @@
 //! 3. [`split_round_robin`] adds the parallel dimension: a deterministic
 //!    P-processor schedule (round-robin over the Kahn wavefronts of the
 //!    DAG, barrier between wavefronts) whose cross-processor word count
-//!    is comparable against the Lemma-2 parallel wavefront bound.
+//!    ([`remote_reads`], defined for any owner map) is comparable
+//!    against the Lemma-2 parallel wavefront bound.
 //!
 //! The 1-level special case is pinned by a differential oracle test: a
 //! hierarchy built by
@@ -257,16 +258,17 @@ pub struct ParallelSplit {
     /// The flattened level-order schedule — a valid topological order,
     /// suitable for [`Simulation::run`].
     pub order: Vec<VertexId>,
-    /// `owner[v]` = processor that executes (or, for an input, first
-    /// reads) vertex `v`.
+    /// `owner[v]` = processor `v` was dealt to. Inputs are dealt
+    /// round-robin within their wavefront like every other vertex, and
+    /// their value lives on that processor.
     pub owner: Vec<u32>,
     /// Number of wavefronts, i.e. barrier-separated supersteps.
     pub supersteps: usize,
     /// Non-input vertices executed by each processor.
     pub per_proc_computes: Vec<u64>,
-    /// Distinct `(value, remote consumer-processor)` pairs: the words
-    /// that must cross the network under an owner-computes rule, the
-    /// measured side of the Lemma-2 horizontal comparison.
+    /// [`remote_reads`] of `owner`: the words that must cross the
+    /// network under an owner-computes rule, the measured side of the
+    /// Lemma-2 horizontal comparison.
     pub remote_reads: u64,
 }
 
@@ -307,26 +309,47 @@ pub fn split_round_robin(g: &Cdag, procs: usize) -> ParallelSplit {
             order.push(v);
         }
     }
-    // Count distinct (value, remote consumer-owner) pairs: each value is
-    // sent at most once to each processor that reads it remotely.
-    let mut remote_reads = 0u64;
-    let mut consumer_owners: Vec<u32> = Vec::new();
-    for u in g.vertices() {
-        consumer_owners.clear();
-        consumer_owners.extend(g.successors(u).iter().map(|&c| owner[c.0 as usize]));
-        consumer_owners.sort_unstable();
-        consumer_owners.dedup();
-        let home = owner[u.0 as usize];
-        remote_reads += consumer_owners.iter().filter(|&&p| p != home).count() as u64;
-    }
     ParallelSplit {
         procs,
+        remote_reads: remote_reads(g, &owner),
         order,
         owner,
         supersteps: wavefronts.len(),
         per_proc_computes,
-        remote_reads,
     }
+}
+
+/// Words that cross the network when every vertex lives on processor
+/// `owner[v]` and is computed there: the distinct `(value, consumer
+/// processor)` pairs whose consumer is not the value's home. A value is
+/// sent at most once to each processor that reads it remotely, however
+/// many of that processor's vertices consume it.
+///
+/// ```
+/// use dmc_kernels::chains::chain;
+/// use dmc_sim::hierarchy_sim::remote_reads;
+///
+/// // A 4-chain split down the middle: one handoff crosses processors.
+/// let g = chain(4);
+/// assert_eq!(remote_reads(&g, &[0, 0, 1, 1]), 1);
+/// assert_eq!(remote_reads(&g, &[0, 1, 0, 1]), 3);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `owner` has fewer than `|V|` entries.
+pub fn remote_reads(g: &Cdag, owner: &[u32]) -> u64 {
+    let mut remote = 0u64;
+    let mut consumer_owners: Vec<u32> = Vec::new();
+    for u in g.vertices() {
+        consumer_owners.clear();
+        consumer_owners.extend(g.successors(u).iter().map(|&c| owner[c.index()]));
+        consumer_owners.sort_unstable();
+        consumer_owners.dedup();
+        let home = owner[u.index()];
+        remote += consumer_owners.iter().filter(|&&p| p != home).count() as u64;
+    }
+    remote
 }
 
 #[cfg(test)]

@@ -1,48 +1,42 @@
-//! # dmc-sim — execution-driven memory-hierarchy simulator
+//! # dmc-sim — schedule simulation under Red-Blue-White semantics
 //!
-//! Where `dmc-core` plays formal pebble games, this crate *measures*: it
-//! executes a CDAG schedule against simulated LRU cache stacks and a
-//! block-distributed memory, counting the words that actually cross each
-//! level of the hierarchy and the node interconnect. The measurements sit
-//! between the certified lower bounds and the game-derived upper bounds:
+//! Where `dmc-core` proves bounds on pebble games, this crate *plays*
+//! them: it runs a CDAG schedule through a simulated fast memory under the
+//! paper's RBW rules (Definition 4: no recomputation, dead values deleted
+//! for free) and counts the words that cross each boundary. Every run is a
+//! valid game, so the measurement sits between the certified bounds:
 //!
 //! ```text
-//! LB (Theorems 5-7)  ≤  simulated traffic  ≈  real machine traffic
+//! LB (Theorems 5-7)  ≤  simulated RBW I/O  ≤  certified schedule UB
 //! ```
 //!
-//! * [`lru`] — word-granularity LRU cache with dirty-eviction tracking;
-//! * [`exec`] — schedule executor over a [`dmc_machine::MemoryHierarchy`]:
-//!   per-processor level-1 caches, shared intermediate caches, per-node
-//!   memory, remote fetches between nodes;
-//! * [`simulation`] — the single-level RBW-semantics simulator behind the
-//!   empirical-validation pipeline: [`Simulation::run`] measures one
-//!   schedule at one capacity under LRU or Belady (OPT) eviction, and
-//!   [`simulation::sweep`] fans an S-sweep over scoped workers with a
-//!   deterministic index-ordered merge;
-//! * [`schedule`] — schedule & ownership builders: striped/block owners,
-//!   plain and level-order schedules, and the skewed (parallelogram)
-//!   tiling for 1-D Jacobi that realizes the `(2S)^{1/d}` reuse the
-//!   paper's Theorem 10 proves optimal;
+//! * [`simulation`] — the one RBW player: [`Simulation::run`] measures one
+//!   schedule at one capacity under LRU or Belady (OPT) eviction,
+//!   [`Simulation::run_recorded`] also writes out the game's moves for
+//!   `dmc-core`'s rule checker to certify, and [`simulation::sweep`] fans
+//!   an S-sweep over scoped workers with a deterministic index-ordered
+//!   merge;
+//! * [`schedule`] — schedule & ownership builders: plain and level-order
+//!   schedules, the skewed (parallelogram) Jacobi tilings that realize
+//!   the `(2S)^{1/d}` reuse the paper's Theorem 10 proves optimal, and the
+//!   block owner map of a Jacobi grid;
 //! * [`hierarchy_sim`] — the machine-hierarchy extension of
 //!   [`simulation`]: [`HierarchySimulation`] measures one schedule at
-//!   *every* boundary of a [`dmc_machine::MemoryHierarchy`] with
-//!   write-back accounting, and [`hierarchy_sim::split_round_robin`]
-//!   deals the schedule across P processors with barrier semantics for
-//!   the Lemma-2 horizontal comparison.
+//!   *every* boundary of a [`dmc_machine::MemoryHierarchy`],
+//!   [`hierarchy_sim::split_round_robin`] deals the schedule across P
+//!   processors with barrier semantics, and [`hierarchy_sim::remote_reads`]
+//!   counts the words any owner map sends across the network, for the
+//!   Lemma-2 horizontal comparison.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod exec;
 pub mod hierarchy_sim;
-pub mod lru;
 pub mod schedule;
 pub mod simulation;
 
-pub use exec::{simulate, SimReport};
 pub use hierarchy_sim::{
     HierarchySimError, HierarchySimulation, HierarchyTrace, Inclusion, LevelTrace, ParallelSplit,
 };
-pub use lru::LruCache;
 pub use simulation::{CachePolicy, SimError, Simulation, Trace};

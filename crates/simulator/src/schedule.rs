@@ -7,7 +7,8 @@
 //! * the skewed parallelogram tiling for 1-D Jacobi that keeps a tile of
 //!   the space-time trapezoid in cache — the schedule whose I/O matches
 //!   the `n·T/(S)`-shape lower bound of Theorem 10,
-//! * striped and block ownership maps for parallel runs.
+//! * the block ownership map of a Jacobi grid, for counting halo words
+//!   with [`remote_reads`](crate::hierarchy_sim::remote_reads).
 
 use dmc_cdag::topo::{levels, topological_order};
 use dmc_cdag::{Cdag, VertexId};
@@ -62,23 +63,17 @@ pub fn tiled_jacobi_2d(j: &JacobiCdag, tile_width: usize) -> Vec<VertexId> {
         .collect()
 }
 
-/// Round-robin striped ownership over `procs` processors.
-pub fn striped_owner(g: &Cdag, procs: usize) -> Vec<usize> {
-    assert!(procs >= 1);
-    (0..g.num_vertices()).map(|i| i % procs).collect()
-}
-
 /// Block (slab) ownership for a Jacobi CDAG: the grid's linear index space
 /// is cut into `procs` contiguous slabs; a vertex at any time step belongs
 /// to its grid point's slab. This is the block partitioning of the
 /// paper's horizontal analyses (ghost-cell exchanges only at slab faces).
-pub fn jacobi_block_owner(j: &JacobiCdag, procs: usize) -> Vec<usize> {
+pub fn jacobi_block_owner(j: &JacobiCdag, procs: usize) -> Vec<u32> {
     assert!(procs >= 1);
     let npts = j.grid.len();
-    let mut owner = vec![0usize; j.cdag.num_vertices()];
+    let mut owner = vec![0u32; j.cdag.num_vertices()];
     for ids_t in &j.ids {
         for (i, v) in ids_t.iter().enumerate() {
-            owner[v.index()] = (i * procs / npts).min(procs - 1);
+            owner[v.index()] = (i * procs / npts).min(procs - 1) as u32;
         }
     }
     owner
@@ -133,31 +128,20 @@ mod tests {
 
     #[test]
     fn tiled_2d_improves_reads_under_pressure() {
-        use dmc_machine::Level;
+        use crate::simulation::{CachePolicy, Simulation};
         let j = jacobi_cdag(24, 2, 8, Stencil::Moore);
-        let h = dmc_machine::MemoryHierarchy::new(vec![
-            Level::new("L1", 1, 64),
-            Level::new("mem", 1, u64::MAX),
-        ])
-        .unwrap();
-        let owner = vec![0usize; j.cdag.num_vertices()];
-        let untiled = crate::simulate(&j.cdag, &h, &by_level(&j.cdag), &owner);
-        let tiled = crate::simulate(&j.cdag, &h, &tiled_jacobi_2d(&j, 4), &owner);
+        let mut sim = Simulation::new();
+        let mut run = |order: &[VertexId]| sim.run(&j.cdag, order, CachePolicy::Lru, 64).unwrap();
+        let untiled = run(&by_level(&j.cdag));
+        let tiled = run(&tiled_jacobi_2d(&j, 4));
         assert!(
-            tiled.total_dram_reads() < untiled.total_dram_reads(),
-            "tiled {} !< untiled {}",
-            tiled.total_dram_reads(),
-            untiled.total_dram_reads()
+            tiled.loads < untiled.loads,
+            "tiled {tiled:?} !< untiled {untiled:?}"
         );
-    }
-
-    #[test]
-    fn striped_owner_covers_all_procs() {
-        let j = jacobi_cdag(8, 1, 2, Stencil::VonNeumann);
-        let owner = striped_owner(&j.cdag, 3);
-        for p in 0..3 {
-            assert!(owner.contains(&p));
-        }
+        assert!(
+            tiled.io() < untiled.io(),
+            "tiled {tiled:?} !< untiled {untiled:?}"
+        );
     }
 
     #[test]
@@ -171,7 +155,7 @@ mod tests {
             assert_eq!(o0, o2);
         }
         // Owners are non-decreasing along the grid.
-        let per_point: Vec<usize> = (0..12).map(|i| owner[j.ids[0][i].index()]).collect();
+        let per_point: Vec<u32> = (0..12).map(|i| owner[j.ids[0][i].index()]).collect();
         assert!(per_point.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(per_point[0], 0);
         assert_eq!(per_point[11], 2);

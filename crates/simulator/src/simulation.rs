@@ -1,19 +1,19 @@
 //! Single-level schedule simulation under Red-Blue-White semantics.
 //!
-//! Where [`crate::exec`] simulates a full write-back cache *hierarchy*
-//! (every produced value eventually hits DRAM), this module measures the
-//! quantity the paper's bounds actually constrain: the I/O of one fast
-//! memory of `S` words playing the no-recomputation RBW game along a
-//! fixed schedule. Dead values are deleted for free (rule R4), values
-//! evicted while still live are stored once, and outputs are flushed at
-//! the end — so a measured [`Trace`] sits *between* the certified bounds:
+//! This module measures the quantity the paper's bounds constrain: the
+//! I/O of one fast memory of `S` words playing the no-recomputation RBW
+//! game (Definition 4) along a fixed schedule. Dead values are deleted
+//! for free (rule R4), values evicted while still live are stored once,
+//! and outputs are flushed at the end. Every run *is* a valid RBW game,
+//! so a measured [`Trace`] sits between the certified bounds:
 //!
 //! ```text
 //! certified lower bound  ≤  Trace::io()  ≤  certified schedule upper bound
 //! ```
 //!
-//! for any [`CachePolicy`], because every run corresponds to a valid RBW
-//! game. `dmc_core`'s validation pipeline exploits exactly this sandwich.
+//! for any [`CachePolicy`]. [`Simulation::run_recorded`] also writes the
+//! game out move by move ([`Move`]); `dmc_core` replays that recording
+//! through its independent RBW rule checker to certify the upper side.
 //!
 //! [`Simulation`] is a reset-and-reuse arena (the same pattern as the
 //! wavefront engine's `FlowNetwork`): all per-run state lives in retained
@@ -52,14 +52,42 @@ pub fn vertex_footprint(g: &Cdag, v: VertexId) -> usize {
 }
 
 /// The smallest capacity *any* schedule of `g` can execute in:
-/// `max_v` [`vertex_footprint`]. [`Simulation::run`] (and the RBW game
-/// executors in `dmc-core`) reject capacities below this; sweep drivers
-/// use it to pick always-feasible default sweeps.
+/// `max_v` [`vertex_footprint`]. [`Simulation::run`] rejects capacities
+/// below this; sweep drivers use it to pick always-feasible default
+/// sweeps.
 pub fn min_feasible_capacity(g: &Cdag) -> usize {
     g.vertices()
         .map(|v| vertex_footprint(g, v))
         .max()
         .unwrap_or(1)
+}
+
+/// A single move of the sequential pebble games (shared by the red-blue
+/// and RBW games; the parallel game has its own richer move type).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Move {
+    /// R1 — place a red pebble on a blue-pebbled vertex (load).
+    Load(VertexId),
+    /// R2 — place a blue pebble on a red-pebbled vertex (store).
+    Store(VertexId),
+    /// R3 — fire a vertex whose predecessors all hold red pebbles.
+    Compute(VertexId),
+    /// R4 — remove a red pebble (free storage).
+    Delete(VertexId),
+}
+
+impl Move {
+    /// `true` for the two I/O moves (R1 and R2).
+    pub fn is_io(self) -> bool {
+        matches!(self, Move::Load(_) | Move::Store(_))
+    }
+
+    /// The vertex the move touches.
+    pub fn vertex(self) -> VertexId {
+        match self {
+            Move::Load(v) | Move::Store(v) | Move::Compute(v) | Move::Delete(v) => v,
+        }
+    }
 }
 
 /// Victim-selection rule of a [`Simulation`] run.
@@ -188,14 +216,66 @@ impl Simulation {
     /// Simulates `schedule` on `g` with `s` words of fast memory.
     ///
     /// Rejects schedules that are not topological orders of `g` and
-    /// capacities below `max_v (in_degree(v) + 1)` — the executor needs a
-    /// vertex and all its predecessors resident at once.
+    /// capacities below `max_v (in_degree(v) + 1)` — firing a vertex
+    /// needs it and all its predecessors resident at once.
     pub fn run(
         &mut self,
         g: &Cdag,
         schedule: &[VertexId],
         policy: CachePolicy,
         s: u64,
+    ) -> Result<Trace, SimError> {
+        self.play(g, schedule, policy, s, |_| {})
+    }
+
+    /// [`Simulation::run`] that also records the game it plays: `moves`
+    /// is cleared, then receives every R1–R4 move in play order — a
+    /// complete RBW game with `s` red pebbles whose I/O moves number
+    /// exactly [`Trace::io`].
+    ///
+    /// ```
+    /// use dmc_cdag::topo::topological_order;
+    /// use dmc_cdag::VertexId;
+    /// use dmc_kernels::chains::chain;
+    /// use dmc_sim::simulation::{CachePolicy, Move, Simulation};
+    ///
+    /// // in -> a -> out: load the input, fire a, drop the dead input,
+    /// // fire out, drop a, store the output.
+    /// let g = chain(3);
+    /// let mut moves = Vec::new();
+    /// let t = Simulation::new()
+    ///     .run_recorded(&g, &topological_order(&g), CachePolicy::Lru, 2, &mut moves)
+    ///     .unwrap();
+    /// let [i, a, o] = [VertexId(0), VertexId(1), VertexId(2)];
+    /// use Move::{Compute, Delete, Load, Store};
+    /// assert_eq!(
+    ///     moves,
+    ///     [Load(i), Compute(a), Delete(i), Compute(o), Delete(a), Store(o)]
+    /// );
+    /// assert_eq!(t.io(), moves.iter().filter(|m| m.is_io()).count() as u64);
+    /// ```
+    pub fn run_recorded(
+        &mut self,
+        g: &Cdag,
+        schedule: &[VertexId],
+        policy: CachePolicy,
+        s: u64,
+        moves: &mut Vec<Move>,
+    ) -> Result<Trace, SimError> {
+        moves.clear();
+        self.play(g, schedule, policy, s, |m| moves.push(m))
+    }
+
+    /// The one game loop behind [`Simulation::run`] and
+    /// [`Simulation::run_recorded`]; `record` sees each move as it is
+    /// made.
+    fn play(
+        &mut self,
+        g: &Cdag,
+        schedule: &[VertexId],
+        policy: CachePolicy,
+        s: u64,
+        mut record: impl FnMut(Move),
     ) -> Result<Trace, SimError> {
         let n = g.num_vertices();
         self.reset(n);
@@ -262,18 +342,22 @@ impl Simulation {
                 if self.resident[p.index()] {
                     trace.hits += 1;
                 } else {
-                    self.make_room(g, preds, v, cap, policy, &mut trace);
+                    self.make_room(g, preds, v, cap, policy, &mut trace, &mut record);
                     debug_assert!(self.saved[p.index()], "spilled {p} lost without a store");
                     trace.loads += 1;
+                    record(Move::Load(p));
                     self.place(p);
                 }
                 self.touch(p);
             }
             // 2. The fired vertex itself: inputs load, computes are free.
             if !self.resident[v.index()] {
-                self.make_room(g, preds, v, cap, policy, &mut trace);
+                self.make_room(g, preds, v, cap, policy, &mut trace, &mut record);
                 if g.is_input(v) {
                     trace.loads += 1;
+                    record(Move::Load(v));
+                } else {
+                    record(Move::Compute(v));
                 }
                 self.place(v);
             }
@@ -282,12 +366,15 @@ impl Simulation {
             for &p in preds {
                 self.remaining[p.index()] -= 1;
                 self.advance_cursor(p, step as u32);
-                if self.remaining[p.index()] == 0 && (!g.is_output(p) || self.saved[p.index()]) {
-                    self.drop_resident(p);
+                if self.remaining[p.index()] == 0
+                    && (!g.is_output(p) || self.saved[p.index()])
+                    && self.drop_resident(p)
+                {
+                    record(Move::Delete(p));
                 }
             }
-            if self.remaining[v.index()] == 0 && !g.is_output(v) {
-                self.drop_resident(v);
+            if self.remaining[v.index()] == 0 && !g.is_output(v) && self.drop_resident(v) {
+                record(Move::Delete(v));
             }
         }
         // 4. Outputs must end up in slow memory.
@@ -298,6 +385,7 @@ impl Simulation {
                     "output {v} neither resident nor saved"
                 );
                 trace.stores += 1;
+                record(Move::Store(v));
                 self.saved[v.index()] = true;
             }
         }
@@ -336,9 +424,11 @@ impl Simulation {
         self.clock += 1;
     }
 
-    fn drop_resident(&mut self, v: VertexId) {
+    /// Frees `v`'s word; `false` (and no change) when it was not
+    /// resident.
+    fn drop_resident(&mut self, v: VertexId) -> bool {
         if !self.resident[v.index()] {
-            return;
+            return false;
         }
         self.resident[v.index()] = false;
         let at = self
@@ -348,6 +438,7 @@ impl Simulation {
             // dmc-lint: allow(s1) -- victim was drawn from the resident list by the selection above; absence is a bookkeeping bug
             .expect("resident list consistent");
         self.resident_list.swap_remove(at);
+        true
     }
 
     fn advance_cursor(&mut self, p: VertexId, step: u32) {
@@ -371,6 +462,7 @@ impl Simulation {
     /// Frees capacity until a new word fits, never evicting `v` or its
     /// pinned predecessors. Live victims are stored once; dead victims
     /// (fully consumed, saved-or-untagged) leave for free.
+    #[allow(clippy::too_many_arguments)]
     fn make_room(
         &mut self,
         g: &Cdag,
@@ -379,16 +471,19 @@ impl Simulation {
         cap: usize,
         policy: CachePolicy,
         trace: &mut Trace,
+        record: &mut impl FnMut(Move),
     ) {
         while self.resident_list.len() >= cap {
             let victim = self.choose_victim(pinned, v, policy);
             let live = self.remaining[victim.index()] > 0 || g.is_output(victim);
             if live && !self.saved[victim.index()] {
                 trace.stores += 1;
+                record(Move::Store(victim));
                 self.saved[victim.index()] = true;
             }
             trace.evictions += 1;
             self.drop_resident(victim);
+            record(Move::Delete(victim));
         }
     }
 
@@ -523,6 +618,69 @@ mod tests {
             assert_eq!(t.loads, g.num_inputs() as u64, "{policy}");
             assert_eq!(t.stores, g.num_outputs() as u64, "{policy}");
             assert_eq!(t.evictions, 0, "{policy}");
+        }
+    }
+
+    #[test]
+    fn lru_and_opt_record_different_victims() {
+        // Inputs a, b, c; x = f(c), y = f(a, x), z = f(b, y) (output), in
+        // S = 3. Firing x needs a word while a, b, c are resident: LRU
+        // drops a (touched first), OPT drops b (used last).
+        let mut bld = dmc_cdag::CdagBuilder::new();
+        let a = bld.add_input("a");
+        let b = bld.add_input("b");
+        let c = bld.add_input("c");
+        let x = bld.add_op("x", &[c]);
+        let y = bld.add_op("y", &[a, x]);
+        let z = bld.add_op("z", &[b, y]);
+        bld.tag_output(z);
+        let g = bld.build_valid("victims");
+        let order = [a, b, c, x, y, z];
+        use Move::{Compute, Delete, Load, Store};
+        let lru = [
+            Load(a),
+            Load(b),
+            Load(c),
+            Delete(a),
+            Compute(x),
+            Delete(c),
+            Load(a),
+            Delete(b),
+            Compute(y),
+            Delete(a),
+            Delete(x),
+            Load(b),
+            Compute(z),
+            Delete(b),
+            Delete(y),
+            Store(z),
+        ];
+        let opt = [
+            Load(a),
+            Load(b),
+            Load(c),
+            Delete(b),
+            Compute(x),
+            Delete(c),
+            Compute(y),
+            Delete(a),
+            Delete(x),
+            Load(b),
+            Compute(z),
+            Delete(b),
+            Delete(y),
+            Store(z),
+        ];
+        let mut sim = Simulation::new();
+        let mut moves = vec![Store(z)]; // stale content is cleared
+        for (policy, want, io) in [
+            (CachePolicy::Lru, &lru[..], 6),
+            (CachePolicy::Opt, &opt[..], 5),
+        ] {
+            let t = sim.run_recorded(&g, &order, policy, 3, &mut moves).unwrap();
+            assert_eq!(moves, want, "{policy}");
+            assert_eq!(t.io(), io, "{policy}");
+            assert_eq!(t, sim.run(&g, &order, policy, 3).unwrap(), "{policy}");
         }
     }
 

@@ -10,10 +10,11 @@ use dmc::cdag::topo::topological_order;
 use dmc::core::bounds::decompose::{decomposition_sum, untag_inputs};
 use dmc::core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
 use dmc::core::bounds::IoBound;
-use dmc::core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc::core::games::executor::certified_upper_bound;
 use dmc::kernels::composite::{
     composite, composite_hong_kung_achievable_io, composite_per_stage_io,
 };
+use dmc::sim::CachePolicy;
 
 fn main() {
     let n = 6;
@@ -40,8 +41,8 @@ fn main() {
     // Hong–Kung recomputation of A/B elements; RBW forbids it, so the
     // executed game pays spills — the gap is the price of no-recompute.
     let order = topological_order(&g);
-    let exec = certified_upper_bound(&g, s as usize, &order, EvictionPolicy::Belady)
-        .expect("budget suffices");
+    let exec =
+        certified_upper_bound(&g, s as usize, &order, CachePolicy::Opt).expect("budget suffices");
     println!(
         "\nexecuted RBW game at N = {n} (no recomputation), S = 4N+4: {exec} I/O\n\
          (HK with recomputation would need only {})",

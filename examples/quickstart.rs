@@ -8,8 +8,9 @@ use dmc::cdag::topo::topological_order;
 use dmc::cdag::CdagBuilder;
 use dmc::core::bounds::decompose::untag_inputs;
 use dmc::core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
-use dmc::core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc::core::games::executor::certified_upper_bound;
 use dmc::core::games::optimal::{optimal_io, GameKind};
+use dmc::sim::CachePolicy;
 
 fn main() {
     // 1. Describe a computation as a CDAG: a little 2-stage reduction.
@@ -41,7 +42,7 @@ fn main() {
 
     // 4. Heuristic upper bound: play a real game with Belady eviction.
     let order = topological_order(&g);
-    let ub = certified_upper_bound(&g, s_budget as usize, &order, EvictionPolicy::Belady)
+    let ub = certified_upper_bound(&g, s_budget as usize, &order, CachePolicy::Opt)
         .expect("budget suffices");
     println!("Belady-executor upper bound: {ub}");
 

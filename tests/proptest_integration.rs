@@ -9,13 +9,14 @@ use dmc::cdag::topo::{is_valid_topological_order, topological_order};
 use dmc::cdag::{Cdag, VertexId};
 use dmc::core::bounds::decompose::untag_inputs;
 use dmc::core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
-use dmc::core::games::executor::{execute_rbw, EvictionPolicy};
+use dmc::core::games::executor::execute_rbw;
 use dmc::core::games::rbw;
 use dmc::core::partition::construct::from_trace;
 use dmc::core::partition::validate_rbw;
 use dmc::kernels::random::{random_layered, RandomDagConfig};
-use dmc::machine::{Level, MemoryHierarchy};
-use dmc::sim::simulate;
+use dmc::sim::hierarchy_sim::split_round_robin;
+use dmc::sim::simulation::min_feasible_capacity;
+use dmc::sim::{CachePolicy, Simulation};
 use proptest::prelude::*;
 
 fn arb_cdag() -> impl Strategy<Value = Cdag> {
@@ -33,14 +34,14 @@ fn arb_cdag() -> impl Strategy<Value = Cdag> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Executor games always replay cleanly through the rule validator
+    /// Recorded games always replay cleanly through the rule validator
     /// and their traces always yield valid Theorem-1 2S-partitions.
     #[test]
     fn executor_traces_validate_and_partition(g in arb_cdag(), s_extra in 1usize..6) {
         let order = topological_order(&g);
         let min_s = g.vertices().map(|v| g.in_degree(v) + 1).max().unwrap_or(1);
         let s = min_s + s_extra;
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::Belady, EvictionPolicy::Fifo] {
+        for policy in [CachePolicy::Lru, CachePolicy::Opt] {
             let game = execute_rbw(&g, s, &order, policy).expect("budget suffices");
             let certified = rbw::validate(&g, s, &game.trace).expect("trace must be legal");
             prop_assert_eq!(certified, game.io);
@@ -56,7 +57,7 @@ proptest! {
         let order = topological_order(&g);
         let min_s = g.vertices().map(|v| g.in_degree(v) + 1).max().unwrap_or(1);
         let s = min_s + s_extra;
-        let game = execute_rbw(&g, s, &order, EvictionPolicy::Belady).expect("fits");
+        let game = execute_rbw(&g, s, &order, CachePolicy::Opt).expect("fits");
         let wavefront =
             auto_wavefront_bound(&untag_inputs(&g), s as u64, AnchorStrategy::PerLevel);
         let trivial = dmc::core::bounds::IoBound::trivial(&g).value;
@@ -67,21 +68,21 @@ proptest! {
     }
 
     /// The simulator accepts any topological schedule and conserves work:
-    /// computes equal compute-vertex count; every input is fetched.
+    /// the split deals every compute vertex to exactly one processor, and
+    /// every operand read and input firing is either a hit or a load.
     #[test]
     fn simulator_conserves_work(g in arb_cdag(), procs in 1usize..4, s1 in 4u64..64) {
-        let order = topological_order(&g);
-        prop_assume!(is_valid_topological_order(&g, &order));
-        let h = MemoryHierarchy::new(vec![
-            Level::new("L1", procs, s1),
-            Level::new("mem", procs, u64::MAX),
-        ]).expect("valid");
-        let owner: Vec<usize> = (0..g.num_vertices()).map(|i| i % procs).collect();
-        let r = simulate(&g, &h, &order, &owner);
-        let total: u64 = r.computes_per_proc.iter().sum();
+        let split = split_round_robin(&g, procs);
+        prop_assert!(is_valid_topological_order(&g, &split.order));
+        let total: u64 = split.per_proc_computes.iter().sum();
         prop_assert_eq!(total, g.num_compute_vertices() as u64);
-        // At least every input crosses the DRAM link once.
-        prop_assert!(r.total_dram_reads() >= g.num_inputs() as u64);
+        let s1 = s1.max(min_feasible_capacity(&g) as u64);
+        let t = Simulation::new()
+            .run(&g, &split.order, CachePolicy::Lru, s1)
+            .expect("S1 covers every footprint");
+        prop_assert_eq!(t.hits + t.loads, (g.num_edges() + g.num_inputs()) as u64);
+        // At least every input crosses into fast memory once.
+        prop_assert!(t.loads >= g.num_inputs() as u64);
     }
 
     /// Text round-trip through the interchange format is lossless.
@@ -124,14 +125,14 @@ proptest! {
         }
     }
 
-    /// More cache never increases the executor's I/O under Belady.
+    /// More cache never increases the recorded game's I/O under OPT.
     #[test]
     fn monotone_in_cache_size(g in arb_cdag()) {
         let order = topological_order(&g);
         let min_s = g.vertices().map(|v| g.in_degree(v) + 1).max().unwrap_or(1);
         let mut prev = u64::MAX;
         for s in [min_s, min_s + 2, min_s + 8, min_s + 32] {
-            let game = execute_rbw(&g, s, &order, EvictionPolicy::Belady).expect("fits");
+            let game = execute_rbw(&g, s, &order, CachePolicy::Opt).expect("fits");
             prop_assert!(game.io <= prev, "S={s}: {} > {prev}", game.io);
             prev = game.io;
         }

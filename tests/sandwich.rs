@@ -5,9 +5,10 @@
 use dmc::cdag::topo::topological_order;
 use dmc::core::bounds::decompose::untag_inputs;
 use dmc::core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
-use dmc::core::games::executor::{certified_upper_bound, EvictionPolicy};
+use dmc::core::games::executor::certified_upper_bound;
 use dmc::core::games::optimal::{optimal_io, GameKind};
 use dmc::kernels::{chains, fft};
+use dmc::sim::CachePolicy;
 
 fn sandwich(g: &dmc::cdag::Cdag, s: usize, label: &str) {
     let wavefront = auto_wavefront_bound(&untag_inputs(g), s as u64, AnchorStrategy::All).value;
@@ -15,7 +16,7 @@ fn sandwich(g: &dmc::cdag::Cdag, s: usize, label: &str) {
     let lb = wavefront.max(trivial);
     let opt = optimal_io(g, s, GameKind::Rbw);
     let order = topological_order(g);
-    let ub = certified_upper_bound(g, s, &order, EvictionPolicy::Belady).ok();
+    let ub = certified_upper_bound(g, s, &order, CachePolicy::Opt).ok();
     if let Some(opt) = opt {
         assert!(lb <= opt as f64, "{label} S={s}: LB {lb} > optimal {opt}");
         if let Some(ub) = ub {
@@ -69,11 +70,7 @@ fn executor_policies_all_valid_on_bigger_kernels() {
     let order = topological_order(&g);
     for s in [12usize, 24, 48] {
         let analytic = dmc::kernels::matmul::matmul_io_lower_bound(5, s as u64);
-        for policy in [
-            EvictionPolicy::Lru,
-            EvictionPolicy::Belady,
-            EvictionPolicy::Fifo,
-        ] {
+        for policy in [CachePolicy::Lru, CachePolicy::Opt] {
             let ub = certified_upper_bound(&g, s, &order, policy).expect("fits");
             assert!(
                 analytic <= ub as f64,

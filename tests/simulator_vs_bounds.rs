@@ -1,40 +1,33 @@
 //! Measured traffic must respect certified bounds: the simulator sits
 //! between lower bounds and real machines.
 
+use dmc::cdag::VertexId;
 use dmc::kernels::grid::Stencil;
-use dmc::kernels::jacobi::{jacobi_cdag, jacobi_io_lower_bound};
-use dmc::machine::{Level, MemoryHierarchy};
+use dmc::kernels::jacobi::{jacobi_cdag, jacobi_io_lower_bound, JacobiCdag};
+use dmc::sim::hierarchy_sim::remote_reads;
 use dmc::sim::schedule::{by_level, jacobi_block_owner, tiled_jacobi_1d};
-use dmc::sim::simulate;
+use dmc::sim::{CachePolicy, Simulation, Trace};
 use dmc_core::parallel::horizontal::ghost_cell_upper_bound;
 
-fn one_proc(s1: u64) -> MemoryHierarchy {
-    MemoryHierarchy::new(vec![
-        Level::new("L1", 1, s1),
-        Level::new("mem", 1, u64::MAX),
-    ])
-    .unwrap()
+fn lru(j: &JacobiCdag, order: &[VertexId], s1: u64) -> Trace {
+    Simulation::new()
+        .run(&j.cdag, order, CachePolicy::Lru, s1)
+        .unwrap()
 }
 
 #[test]
 fn jacobi_reads_never_beat_theorem_10() {
     let (n, t, s1) = (256usize, 32usize, 32u64);
     let j = jacobi_cdag(n, 1, t, Stencil::VonNeumann);
-    let h = one_proc(s1);
-    let owner = vec![0usize; j.cdag.num_vertices()];
     let lb = jacobi_io_lower_bound(n, 1, t, 1, s1);
     for (name, sched) in [
         ("untiled", by_level(&j.cdag)),
         ("tiled8", tiled_jacobi_1d(&j, 8)),
         ("tiled16", tiled_jacobi_1d(&j, 16)),
     ] {
-        let r = simulate(&j.cdag, &h, &sched, &owner);
-        // Total traffic (reads + writes) dominates the I/O bound.
-        assert!(
-            r.total_dram_traffic() as f64 >= lb,
-            "{name}: measured {} < LB {lb}",
-            r.total_dram_traffic()
-        );
+        // Theorem 10 bounds the RBW I/O: loads plus stores.
+        let r = lru(&j, &sched, s1);
+        assert!(r.io() as f64 >= lb, "{name}: measured {r:?} < LB {lb}");
     }
 }
 
@@ -42,20 +35,17 @@ fn jacobi_reads_never_beat_theorem_10() {
 fn tiling_cuts_read_traffic() {
     let (n, t, s1) = (256usize, 32usize, 32u64);
     let j = jacobi_cdag(n, 1, t, Stencil::VonNeumann);
-    let h = one_proc(s1);
-    let owner = vec![0usize; j.cdag.num_vertices()];
-    let untiled = simulate(&j.cdag, &h, &by_level(&j.cdag), &owner);
-    let tiled = simulate(&j.cdag, &h, &tiled_jacobi_1d(&j, 12), &owner);
+    let untiled = lru(&j, &by_level(&j.cdag), s1);
+    let tiled = lru(&j, &tiled_jacobi_1d(&j, 12), s1);
     assert!(
-        (tiled.total_dram_reads() as f64) < untiled.total_dram_reads() as f64 / 4.0,
-        "tiled reads {} vs untiled {}",
-        tiled.total_dram_reads(),
-        untiled.total_dram_reads()
+        tiled.loads < untiled.loads / 4,
+        "tiled {tiled:?} vs untiled {untiled:?}"
     );
-    // Write-backs are schedule-independent (every value is distinct).
-    assert_eq!(
-        tiled.total_dram_writebacks(),
-        untiled.total_dram_writebacks()
+    // Under RBW rules dead values are deleted for free, so stores are
+    // spills of live values and tiling cuts them too.
+    assert!(
+        tiled.stores < untiled.stores / 4,
+        "tiled {tiled:?} vs untiled {untiled:?}"
     );
 }
 
@@ -64,36 +54,28 @@ fn halo_traffic_bounded_by_ghost_formula() {
     let (n, t) = (64usize, 4usize);
     let j = jacobi_cdag(n, 1, t, Stencil::VonNeumann);
     for procs in [2usize, 4, 8] {
-        let h = MemoryHierarchy::new(vec![
-            Level::new("L1", procs, 32),
-            Level::new("mem", procs, u64::MAX),
-        ])
-        .unwrap();
-        let owner = jacobi_block_owner(&j, procs);
-        let r = simulate(&j.cdag, &h, &by_level(&j.cdag), &owner);
+        let halo = remote_reads(&j.cdag, &jacobi_block_owner(&j, procs));
         let formula_total = ghost_cell_upper_bound(n, 1, procs, t) * procs as f64;
         assert!(
-            r.total_horizontal() as f64 <= formula_total + 1e-9,
-            "procs={procs}: measured {} > ghost formula {formula_total}",
-            r.total_horizontal()
+            halo as f64 <= formula_total + 1e-9,
+            "procs={procs}: measured {halo} > ghost formula {formula_total}"
         );
-        assert!(r.total_horizontal() > 0, "block runs must exchange halos");
+        assert!(halo > 0, "block runs must exchange halos");
     }
 }
 
 #[test]
 fn more_cache_never_increases_reads() {
     let j = jacobi_cdag(128, 1, 16, Stencil::VonNeumann);
-    let owner = vec![0usize; j.cdag.num_vertices()];
     let sched = tiled_jacobi_1d(&j, 8);
     let mut prev = u64::MAX;
     for s1 in [16u64, 32, 64, 256] {
-        let r = simulate(&j.cdag, &one_proc(s1), &sched, &owner);
+        let r = lru(&j, &sched, s1);
         assert!(
-            r.total_dram_reads() <= prev,
+            r.loads <= prev,
             "S={s1}: reads {} > previous {prev}",
-            r.total_dram_reads()
+            r.loads
         );
-        prev = r.total_dram_reads();
+        prev = r.loads;
     }
 }
