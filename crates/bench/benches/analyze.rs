@@ -12,7 +12,7 @@ use dmc_cdag::Cdag;
 use dmc_core::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transfer};
 use dmc_core::bounds::mincut::{auto_wavefront_bound_with, AnchorStrategy};
 use dmc_core::bounds::{best_lower_bound, IoBound};
-use dmc_core::pipeline::{partition2s_bound, Analyzer, AnalyzerConfig};
+use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
 use dmc_kernels::chains::ladder;
 
 /// The pre-pipeline wiring every caller used to repeat: find components,
@@ -29,9 +29,7 @@ fn hand_wired(g: &Cdag, s: u64) -> f64 {
                 AnchorStrategy::Adaptive,
                 1,
             ));
-            let trivial = IoBound::trivial(&p.cdag);
-            let partition = partition2s_bound(&p.cdag, s);
-            best_lower_bound([trivial, wavefront, partition]).expect("three candidates")
+            best_lower_bound([IoBound::trivial(&p.cdag), wavefront]).expect("two candidates")
         })
         .collect();
     decomposition_sum(&bounds).value
@@ -56,17 +54,6 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| analyzer.analyze(&g).bound.value)
             });
         }
-        // Without the whole-graph comparison baseline the pipeline does
-        // the same work as the hand-wired loop (plus the report).
-        let lean = Analyzer::new(AnalyzerConfig {
-            sram: s,
-            threads: 1,
-            baseline: false,
-            ..AnalyzerConfig::default()
-        });
-        group.bench_function(format!("pipeline_nobaseline/3xladder{w}"), |b| {
-            b.iter(|| lean.analyze(&g).bound.value)
-        });
     }
     group.finish();
 }

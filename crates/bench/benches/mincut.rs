@@ -19,9 +19,6 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("auto_all/ladder{w}"), |b| {
             b.iter(|| auto_wavefront_bound(&g, 2, AnchorStrategy::All).value)
         });
-        group.bench_function(format!("auto_perlevel/ladder{w}"), |b| {
-            b.iter(|| auto_wavefront_bound(&g, 2, AnchorStrategy::PerLevel).value)
-        });
         group.bench_function(format!("auto_adaptive/ladder{w}"), |b| {
             b.iter(|| auto_wavefront_bound(&g, 2, AnchorStrategy::Adaptive).value)
         });

@@ -360,8 +360,6 @@ pub fn mincut_experiment_with(threads: usize) -> String {
     let g = untag_inputs(&chains::ladder(8, 8));
     for (name, strat) in [
         ("all", AnchorStrategy::All),
-        ("per-level", AnchorStrategy::PerLevel),
-        ("stride-8", AnchorStrategy::Stride(8)),
         ("adaptive", AnchorStrategy::Adaptive),
     ] {
         let b = auto_wavefront_bound_with(&g, 4, strat, threads);
@@ -417,7 +415,7 @@ pub fn analyze_experiment_with(threads: usize) -> String {
     let mut out = String::from("== E13: unified bound-analysis pipeline (Analyzer) ==\n");
     let _ = writeln!(
         out,
-        "portfolio = trivial | wavefront (Lemma 2 + Thm 3) | 2S-counting (Lemma 1), S = {s}:"
+        "portfolio = trivial | wavefront (Lemma 2 + Thm 3), S = {s}:"
     );
     out.push_str("graph                    |V|    comps  best-single  composed  final   via\n");
     // Spec-built rows from the registry plus one hand-built disjoint
@@ -516,7 +514,6 @@ pub fn analyze_file_with(
         sram,
         threads,
         verdicts: true,
-        ..AnalyzerConfig::default()
     });
     let report = if opts.hierarchical {
         let hopts = HierarchicalOptions {
@@ -678,7 +675,6 @@ pub fn analyze_kernel_spec_with(
         sram,
         threads,
         verdicts: true,
-        ..AnalyzerConfig::default()
     });
     let report = if opts.hierarchical {
         let hopts = HierarchicalOptions {

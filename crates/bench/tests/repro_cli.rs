@@ -156,6 +156,78 @@ fn analyze_json_output_is_json_shaped() {
     assert_eq!(depth, 0, "unbalanced JSON: {stdout}");
 }
 
+/// The top-level elements of the JSON array whose `[` is at `body[open]`.
+fn array_elements(body: &str, open: usize) -> Vec<&str> {
+    let (mut depth, mut in_str, mut escaped, mut from) = (0, false, false, open + 1);
+    let mut elements = Vec::new();
+    for (i, c) in body.char_indices().skip_while(|&(i, _)| i < open) {
+        if in_str {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_str = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '[' | '{' => depth += 1,
+            ',' if depth == 1 => {
+                elements.push(&body[from..i]);
+                from = i + 1;
+            }
+            ']' | '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    if i > from {
+                        elements.push(&body[from..i]);
+                    }
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    elements
+}
+
+/// The flat portfolio is the trivial bound, then the wavefront member:
+/// every candidate list in the composite's JSON report — whole graph and
+/// each component — holds exactly those two, in that order.
+#[test]
+fn analyze_json_candidate_lists_are_trivial_then_wavefront() {
+    let out = repro()
+        .args(["analyze", &graph_path("composite.cdag"), "--format", "json"])
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success(), "analyze --format json must exit 0");
+    let body = String::from_utf8_lossy(&out.stdout);
+    let mut lists = 0;
+    for key in ["\"whole_graph\":[", "\"candidates\":["] {
+        for (at, _) in body.match_indices(key) {
+            // An IoBound's own `method` precedes its `children`.
+            let methods: Vec<&str> = array_elements(&body, at + key.len() - 1)
+                .iter()
+                .map(|e| {
+                    e.split("\"method\":\"")
+                        .nth(1)
+                        .map_or("", |m| &m[..m.find('"').unwrap_or(0)])
+                })
+                .collect();
+            assert_eq!(methods.len(), 2, "{key} {methods:?}");
+            assert_eq!(methods[0], "trivial", "{key} {methods:?}");
+            assert!(
+                matches!(methods[1], "tagging (Theorem 3)" | "wavefront (Lemma 2)"),
+                "{key} {methods:?}"
+            );
+            lists += 1;
+        }
+    }
+    assert_eq!(lists, 3, "whole graph plus two components: {body}");
+}
+
 #[test]
 fn analyze_missing_file_exits_with_error() {
     let out = repro()

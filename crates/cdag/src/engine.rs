@@ -456,9 +456,8 @@ impl<'g> WavefrontEngine<'g> {
         local
     }
 
-    /// One anchor per depth level (the level midpoint) — the engine-side
-    /// twin of the `PerLevel` sampling strategy, and the coarse phase of
-    /// [`WavefrontEngine::run_adaptive`].
+    /// One anchor per depth level (the level midpoint) — the coarse phase
+    /// of [`WavefrontEngine::run_adaptive`].
     pub fn per_level_anchors(&self) -> Vec<VertexId> {
         let mut per_level: Vec<Vec<VertexId>> = vec![Vec::new(); self.level_cut_width.len()];
         for v in self.g.vertices() {
@@ -473,10 +472,11 @@ impl<'g> WavefrontEngine<'g> {
 
     /// Adaptive sampling: a coarse per-level pass locates the most
     /// promising depth, then *every* vertex within one depth level of the
-    /// coarse winner is evaluated. Between `PerLevel` (which it dominates:
-    /// the coarse phase is exactly `PerLevel`) and `All` in both cost and
-    /// bound quality; the returned `best` is deterministic at any thread
-    /// count (only the `anchors_evaluated` diagnostic may vary).
+    /// coarse winner is evaluated. Between the per-level pass alone (which
+    /// it dominates: that pass is its coarse phase) and all anchors in
+    /// both cost and bound quality; the returned `best` is deterministic
+    /// at any thread count (only the `anchors_evaluated` diagnostic may
+    /// vary).
     pub fn run_adaptive(&self) -> EngineRun {
         self.run_adaptive_above(0)
     }

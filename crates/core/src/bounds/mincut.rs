@@ -27,7 +27,6 @@
 use super::{IoBound, Method};
 use dmc_cdag::cut::min_wavefront;
 use dmc_cdag::engine::WavefrontEngine;
-use dmc_cdag::topo::depths;
 use dmc_cdag::{Cdag, VertexId};
 
 /// Lemma 2 for one anchor: `2·(w − S)`, clamped at zero.
@@ -59,49 +58,12 @@ pub fn wavefront_bound_at(g: &Cdag, x: VertexId, s: u64) -> IoBound {
 pub enum AnchorStrategy {
     /// Every vertex — exact `w^max` but `|V|` max-flow runs.
     All,
-    /// One vertex per depth level (the midpoint of each level) plus the
-    /// deepest vertex: cheap and effective on layered CDAGs.
-    PerLevel,
-    /// Deterministic stride sample of at most `k` vertices.
-    Stride(usize),
-    /// Two-phase sampling: a `PerLevel` coarse pass, then exhaustive
+    /// Two-phase sampling: a coarse pass over one anchor per depth level
+    /// ([`WavefrontEngine::per_level_anchors`]), then exhaustive
     /// refinement of every vertex within one depth level of the coarse
-    /// winner. Dominates `PerLevel` at a fraction of `All`'s cost.
+    /// winner ([`WavefrontEngine::run_adaptive`]). Dominates the coarse
+    /// pass alone at a fraction of `All`'s cost.
     Adaptive,
-}
-
-/// Picks anchor vertices per the strategy.
-///
-/// `Adaptive` is dynamic — its refinement anchors depend on intermediate
-/// results — so this returns only its coarse-phase (`PerLevel`) seeds; the
-/// full adaptive schedule lives in
-/// [`WavefrontEngine::run_adaptive`](dmc_cdag::engine::WavefrontEngine::run_adaptive).
-pub fn select_anchors(g: &Cdag, strategy: AnchorStrategy) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    match strategy {
-        AnchorStrategy::All => g.vertices().collect(),
-        AnchorStrategy::PerLevel | AnchorStrategy::Adaptive => {
-            let depth = depths(g);
-            let max_d = depth.iter().copied().max().unwrap_or(0) as usize;
-            let mut per_level: Vec<Vec<VertexId>> = vec![Vec::new(); max_d + 1];
-            for v in g.vertices() {
-                per_level[depth[v.index()] as usize].push(v);
-            }
-            per_level
-                .into_iter()
-                .filter(|l| !l.is_empty())
-                .map(|l| l[l.len() / 2])
-                .collect()
-        }
-        AnchorStrategy::Stride(k) => {
-            let k = k.max(1);
-            // `div_ceil`, not truncating division: `(n / k).max(1)` used to
-            // overshoot to up to `2k − 1` anchors (e.g. n = 9, k = 5 gave
-            // stride 1 and 9 anchors).
-            let stride = n.div_ceil(k).max(1);
-            (0..n).step_by(stride).map(|i| VertexId(i as u32)).collect()
-        }
-    }
 }
 
 /// The automated Lemma-2 lower bound: `2·(max_x |W^min(x)| − S)` over the
@@ -164,11 +126,11 @@ pub fn wavefront_bound_above(
     // The floor is below the ceiling here, so it fits in `usize`.
     let engine_floor = floor.map_or(0, |(_, f)| f as usize);
     let (run, mode) = match strategy {
-        AnchorStrategy::Adaptive => (engine.run_adaptive_above(engine_floor), "adaptive: "),
-        _ => (
-            engine.run_above(&select_anchors(g, strategy), engine_floor),
+        AnchorStrategy::All => (
+            engine.run_above(&g.vertices().collect::<Vec<_>>(), engine_floor),
             "",
         ),
+        AnchorStrategy::Adaptive => (engine.run_adaptive_above(engine_floor), "adaptive: "),
     };
     // Note: only the deterministic anchor count goes into the detail
     // string — `anchors_evaluated` can vary with thread timing (see
@@ -256,48 +218,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_level_subset_of_all() {
-        let g = chains::ladder(4, 4);
-        let all = select_anchors(&g, AnchorStrategy::All);
-        let pl = select_anchors(&g, AnchorStrategy::PerLevel);
-        assert!(pl.len() <= all.len());
-        assert!(!pl.is_empty());
-        for a in &pl {
-            assert!(all.contains(a));
-        }
-        // Per-level bound never exceeds the all-anchors bound.
-        let b_all = auto_wavefront_bound(&g, 2, AnchorStrategy::All);
-        let b_pl = auto_wavefront_bound(&g, 2, AnchorStrategy::PerLevel);
-        assert!(b_pl.value <= b_all.value);
-    }
-
-    #[test]
-    fn stride_sampling_bounds_count() {
-        // Happy path: n divisible by k gives exactly k anchors.
-        let g = chains::ladder(5, 5);
-        let anchors = select_anchors(&g, AnchorStrategy::Stride(5));
-        assert_eq!(anchors.len(), 5);
-        // Off the happy path the count must still be <= k. With the old
-        // truncating stride, n = 9 and k = 5 returned 9 anchors.
-        let g = chains::chain(9);
-        let anchors = select_anchors(&g, AnchorStrategy::Stride(5));
-        assert!(
-            !anchors.is_empty() && anchors.len() <= 5,
-            "{}",
-            anchors.len()
-        );
-        // k >= n degenerates to all vertices.
-        let g = chains::chain(3);
-        assert_eq!(select_anchors(&g, AnchorStrategy::Stride(7)).len(), 3);
-        // k = 0 is clamped to one anchor per full stride.
-        let g = chains::chain(4);
-        assert_eq!(select_anchors(&g, AnchorStrategy::Stride(0)).len(), 1);
-    }
-
-    /// The engine-backed bound must be *bit-identical* to the serial
-    /// baseline — value and derivation detail — at every thread count, on
-    /// each family of test graphs (chains, jacobi, random).
+    /// The engine-backed all-anchors bound must be *bit-identical* to the
+    /// serial baseline — value and derivation detail — at every thread
+    /// count, on each family of test graphs (chains, jacobi, random).
     #[test]
     fn engine_bound_bit_identical_to_serial_at_any_thread_count() {
         use dmc_cdag::cut::max_min_wavefront;
@@ -323,33 +246,24 @@ mod tests {
             ),
         ];
         for (name, g) in &graphs {
-            for strategy in [
-                AnchorStrategy::All,
-                AnchorStrategy::PerLevel,
-                AnchorStrategy::Stride(7),
-            ] {
-                // The pre-refactor serial implementation, verbatim.
-                let anchors = select_anchors(g, strategy);
-                let expected = match max_min_wavefront(g, &anchors) {
-                    Some(w) => (
-                        lemma2_bound(w.size, 2),
-                        format!(
-                            "2·(w^max − S) with w^max = {} at anchor {} ({} anchors)",
-                            w.size,
-                            w.anchor,
-                            anchors.len()
-                        ),
+            // The serial reference over every vertex.
+            let anchors: Vec<VertexId> = g.vertices().collect();
+            let expected = match max_min_wavefront(g, &anchors) {
+                Some(w) => (
+                    lemma2_bound(w.size, 2),
+                    format!(
+                        "2·(w^max − S) with w^max = {} at anchor {} ({} anchors)",
+                        w.size,
+                        w.anchor,
+                        anchors.len()
                     ),
-                    None => (0.0, "no anchors".to_string()),
-                };
-                for threads in [1usize, 2, 4] {
-                    let b = auto_wavefront_bound_with(g, 2, strategy, threads);
-                    assert_eq!(b.value, expected.0, "{name}/{strategy:?} @ {threads}t");
-                    assert_eq!(
-                        b.provenance.note, expected.1,
-                        "{name}/{strategy:?} @ {threads}t"
-                    );
-                }
+                ),
+                None => (0.0, "no anchors".to_string()),
+            };
+            for threads in [1usize, 2, 4] {
+                let b = auto_wavefront_bound_with(g, 2, AnchorStrategy::All, threads);
+                assert_eq!(b.value, expected.0, "{name} @ {threads}t");
+                assert_eq!(b.provenance.note, expected.1, "{name} @ {threads}t");
             }
         }
     }
@@ -358,9 +272,15 @@ mod tests {
     fn adaptive_dominates_per_level_never_exceeds_all() {
         let g = untagged(&chains::ladder(6, 6));
         let b_all = auto_wavefront_bound(&g, 2, AnchorStrategy::All);
-        let b_pl = auto_wavefront_bound(&g, 2, AnchorStrategy::PerLevel);
         let b_ad = auto_wavefront_bound(&g, 2, AnchorStrategy::Adaptive);
-        assert!(b_pl.value <= b_ad.value, "{} > {}", b_pl.value, b_ad.value);
+        // The adaptive coarse pass alone: one anchor per depth level.
+        let engine = WavefrontEngine::new(&g);
+        let per_level = engine
+            .run(&engine.per_level_anchors())
+            .best
+            .map_or(0, |w| w.size);
+        let b_pl = lemma2_bound(per_level, 2);
+        assert!(b_pl <= b_ad.value, "{b_pl} > {}", b_ad.value);
         assert!(
             b_ad.value <= b_all.value,
             "{} > {}",

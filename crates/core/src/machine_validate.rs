@@ -456,13 +456,12 @@ impl Analyzer {
         arena: &mut RowArena,
     ) -> MachineLevelPoint {
         // The certified lower bound at this boundary's aggregate
-        // capacity — the full portfolio (wavefront, partition, …), run
+        // capacity — the full portfolio (trivial, wavefront), run
         // single-threaded inside the per-level worker.
         let lower = Analyzer::new(AnalyzerConfig {
             sram: effective,
             threads: 1,
             verdicts: false,
-            ..self.config().clone()
         })
         .analyze(g)
         .bound;

@@ -7,17 +7,19 @@
 //! 1. find the weakly-connected components
 //!    ([`dmc_cdag::components`]) and extract each as an induced sub-CDAG
 //!    ([`dmc_cdag::subgraph::decompose`]);
-//! 2. run the *method portfolio* on every component — trivial counting,
-//!    Lemma 2 wavefronts on the shared [`WavefrontEngine`] (after a
-//!    Theorem-3 untagging transfer), and the greedy-2S-partition Lemma-1
-//!    relaxation — fanning components out across `std::thread::scope`
+//! 2. run the fixed *method portfolio* on every component — the trivial
+//!    counting bound, then Lemma 2 wavefronts on the shared
+//!    [`WavefrontEngine`] (after a Theorem-3 untagging transfer) with the
+//!    trivial bound as incumbent, so wavefronts that cannot beat it are
+//!    never solved — fanning components out across `std::thread::scope`
 //!    workers with a deterministic merge (bit-identical at any thread
-//!    count). The trivial bound runs first and is the wavefront member's
-//!    incumbent: wavefronts that cannot beat it are never solved;
+//!    count). The Lemma-1 counting bound is not a member: it never beats
+//!    the trivial bound (see [`partition2s_bound`]);
 //! 3. compose the per-component winners with
 //!    [`decomposition_sum`] (Theorem 2);
 //! 4. compare against the best *single whole-graph* method, which the
-//!    composed bound provably dominates (Section 3's composite point);
+//!    composed bound dominates up to anchor sampling (Section 3's
+//!    composite point), and keep the larger;
 //! 5. optionally normalize the result per FLOP (Equation 9 with one
 //!    node) and ask [`crate::analysis`] for machine-balance verdicts.
 //!
@@ -61,30 +63,6 @@ use serde::json::Value;
 use serde::Serialize;
 use std::fmt::Write as _;
 
-/// One member of the analysis method portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortfolioMethod {
-    /// `|I| + |O \ I|` — every input loaded, every pure output stored.
-    Trivial,
-    /// Lemma 2 wavefronts on the untagged CDAG (Theorem-3 transfer), run
-    /// on the parallel batched [`dmc_cdag::engine::WavefrontEngine`].
-    Wavefront,
-    /// Lemma 1 via a counting relaxation of the minimum 2S-partition
-    /// block count, with a greedy 2S-partition as a validity diagnostic.
-    Partition2S,
-}
-
-impl PortfolioMethod {
-    /// The full portfolio, in default (tie-break) priority order.
-    pub fn all() -> Vec<PortfolioMethod> {
-        vec![
-            PortfolioMethod::Trivial,
-            PortfolioMethod::Wavefront,
-            PortfolioMethod::Partition2S,
-        ]
-    }
-}
-
 /// Configuration of an [`Analyzer`].
 #[derive(Debug, Clone)]
 pub struct AnalyzerConfig {
@@ -93,27 +71,6 @@ pub struct AnalyzerConfig {
     /// Worker-thread budget for both the component fan-out and the
     /// wavefront engine (`0` = `std::thread::available_parallelism`).
     pub threads: usize,
-    /// Methods to run on every (sub-)CDAG.
-    pub methods: Vec<PortfolioMethod>,
-    /// Anchor sampling strategy for the wavefront method.
-    pub anchor_strategy: AnchorStrategy,
-    /// Decompose into weakly-connected components and compose the
-    /// per-component bounds with Theorem 2 (on by default; with it off —
-    /// or on connected graphs — the pipeline analyzes the whole graph
-    /// only).
-    pub decompose: bool,
-    /// When decomposing, also run the portfolio on the *whole* graph as a
-    /// comparison baseline (on by default). With the default portfolio
-    /// the composed bound provably dominates the baseline (wavefronts
-    /// never span components; the trivial bound is additive across
-    /// them), so large multi-component analyses can turn this off to
-    /// skip the duplicated whole-graph wavefront sweep. Caution: that
-    /// dominance argument needs the trivial method in the portfolio —
-    /// the 2S-counting bound alone is *not* additive, and skipping the
-    /// baseline under such a custom portfolio can weaken the final
-    /// bound. The baseline is always computed when there is nothing to
-    /// compose.
-    pub baseline: bool,
     /// Also report machine-balance verdicts (Equations 7–10) for the
     /// Table-1 machines, using the final bound normalized per FLOP.
     pub verdicts: bool,
@@ -124,10 +81,6 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             sram: 4,
             threads: 0,
-            methods: PortfolioMethod::all(),
-            anchor_strategy: AnchorStrategy::Adaptive,
-            decompose: true,
-            baseline: true,
             verdicts: false,
         }
     }
@@ -145,7 +98,7 @@ pub struct ComponentReport {
     pub vertices: usize,
     /// `|E|` of the component.
     pub edges: usize,
-    /// Every portfolio result, in portfolio order.
+    /// Every portfolio result, trivial then wavefront.
     pub candidates: Vec<IoBound>,
     /// The strongest candidate (first-wins tie-break).
     pub best: IoBound,
@@ -220,11 +173,10 @@ pub struct HierarchicalOptions {
     /// than the flat pipeline — each cluster independently forces its
     /// own traffic — but that makes flat-vs-hierarchical comparisons a
     /// judgment call rather than an invariant. The default is therefore
-    /// `0` (off): the default hierarchical bound is dominated by the
-    /// flat bound by construction (per-cluster trivial bounds sum to
-    /// exactly the whole-graph trivial bound, and the 2S-counting bound
-    /// never exceeds the trivial bound on the same graph). Raise the
-    /// limit to opt into the stronger composed bound.
+    /// `0` (off): each cluster's bound is then its trivial bound, and
+    /// those sum to exactly the whole-graph trivial bound, so the default
+    /// hierarchical bound is dominated by the flat bound by construction.
+    /// Raise the limit to opt into the stronger composed bound.
     pub cluster_wavefront_limit: usize,
     /// Largest original graph (in vertices) on which the sound
     /// whole-graph wavefront pass (Lemma 2 + Theorem 3, identical to
@@ -365,7 +317,7 @@ pub struct HierarchyReport {
     /// The Theorem-2 composition of the per-cluster winners.
     pub composed: IoBound,
     /// The sound whole-graph wavefront pass (`None` when gated off by
-    /// size or portfolio configuration).
+    /// [`HierarchicalOptions::whole_wavefront_limit`]).
     pub whole_wavefront: Option<IoBound>,
     /// Structural summary of the contracted super-vertex DAG.
     pub coarse: CoarseSummary,
@@ -409,20 +361,22 @@ pub struct AnalysisReport {
     pub sram: u64,
     /// Number of weakly-connected components.
     pub component_count: usize,
-    /// Per-component analyses (empty when decomposition was skipped).
+    /// Per-component analyses (empty for connected graphs and in
+    /// hierarchical reports).
     pub components: Vec<ComponentReport>,
-    /// Every whole-graph portfolio result (the baseline the composed
-    /// bound is compared against; empty when the baseline was skipped via
-    /// [`AnalyzerConfig::baseline`]).
+    /// Every whole-graph portfolio result, trivial then wavefront (the
+    /// baseline the composed bound is compared against; empty in
+    /// hierarchical reports).
     pub whole_graph: Vec<IoBound>,
-    /// The strongest single whole-graph method (`None` when the baseline
-    /// was skipped).
+    /// The strongest single whole-graph method (`None` in hierarchical
+    /// reports).
     pub best_whole_graph: Option<IoBound>,
-    /// The Theorem-2 composition of per-component winners (`None` when
-    /// decomposition was skipped or the graph is connected).
+    /// The Theorem-2 composition of per-component winners (`None` for
+    /// connected graphs and in hierarchical reports).
     pub composed: Option<IoBound>,
-    /// The pipeline's final certified lower bound: the composed bound
-    /// when available (it dominates), otherwise the whole-graph best.
+    /// The pipeline's final certified lower bound: the larger of the
+    /// composed bound (when available) and the whole-graph best, composed
+    /// first on ties.
     pub bound: IoBound,
     /// Machine-balance verdicts (empty unless
     /// [`AnalyzerConfig::verdicts`]).
@@ -630,7 +584,6 @@ impl Analyzer {
     /// Builds an analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Self {
         assert!(config.sram >= 1, "S must be at least 1");
-        assert!(!config.methods.is_empty(), "empty method portfolio");
         Analyzer { config }
     }
 
@@ -647,20 +600,13 @@ impl Analyzer {
     /// Runs the full pipeline on `g`.
     pub fn analyze(&self, g: &Cdag) -> AnalysisReport {
         let comps = weakly_connected_components(g);
-        let decomposed = self.config.decompose && comps.count > 1;
 
         // Whole-graph portfolio: the comparison baseline. Gets the full
-        // thread budget (the engine parallelizes internally). Skippable
-        // when a composed bound will exist (it dominates the baseline),
-        // mandatory otherwise — it is then the only bound source.
-        let whole_graph = if self.config.baseline || !decomposed {
-            self.portfolio(g, self.config.threads)
-        } else {
-            Vec::new()
-        };
+        // thread budget (the engine parallelizes internally).
+        let whole_graph = self.portfolio(g, self.config.threads);
         let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
 
-        let (components, composed) = if decomposed {
+        let (components, composed) = if comps.count > 1 {
             let pieces = subgraph::decompose(g, &comps.assignment, comps.count);
             let components = self.analyze_components(&pieces);
             let composed = decomposition_sum(
@@ -674,18 +620,19 @@ impl Analyzer {
             (Vec::new(), None)
         };
 
-        // The composed bound dominates the baseline (a whole-graph
-        // wavefront anchor never spans components, and the trivial and
-        // counting bounds are additive across them), but `max` with a
-        // composed-first tie-break keeps the final answer correct even
-        // for portfolios where that argument does not apply.
+        // The composed bound dominates the baseline on the same anchors
+        // (the trivial bound is additive across components and a
+        // wavefront never spans them), but the adaptive sampler picks its
+        // anchors per graph, so the whole-graph wavefront can still find
+        // a wider one than its component did: take the best, composed
+        // first on ties.
         let bound = best_lower_bound(
             composed
                 .iter()
                 .cloned()
                 .chain(best_whole_graph.iter().cloned()),
         )
-        // dmc-lint: allow(s1) -- the portfolio always contains the whole-graph baseline, so a best element exists
+        // dmc-lint: allow(s1) -- the whole-graph portfolio is never empty, so a best element exists
         .expect("composed or whole-graph best always exists");
 
         let balance = self.balance_verdicts(g, bound.value);
@@ -802,9 +749,8 @@ impl Analyzer {
         );
         let composed =
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
-        let whole_wavefront = (n <= opts.whole_wavefront_limit
-            && self.config.methods.contains(&PortfolioMethod::Wavefront))
-        .then(|| self.wavefront_bound(g, total, None));
+        let whole_wavefront =
+            (n <= opts.whole_wavefront_limit).then(|| self.wavefront_bound(g, total, None));
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
@@ -905,11 +851,9 @@ impl Analyzer {
             .collect()
     }
 
-    /// Portfolio-plus-annotations for one cluster: the flat portfolio
-    /// with the wavefront member size-gated (see
-    /// [`HierarchicalOptions::cluster_wavefront_limit`]); when every
-    /// configured method is gated off the always-sound trivial bound is
-    /// used as the floor.
+    /// Portfolio-plus-annotations for one cluster: the trivial bound, plus
+    /// an unfloored wavefront member when the cluster is within
+    /// [`HierarchicalOptions::cluster_wavefront_limit`].
     fn cluster_summary(
         &self,
         index: usize,
@@ -919,22 +863,10 @@ impl Analyzer {
         opts: &HierarchicalOptions,
     ) -> ClusterSummary {
         let g = &piece.cdag;
-        let mut candidates: Vec<IoBound> = self
-            .config
-            .methods
-            .iter()
-            .filter_map(|m| match m {
-                PortfolioMethod::Trivial => Some(IoBound::trivial(g)),
-                PortfolioMethod::Wavefront => (g.num_vertices() <= opts.cluster_wavefront_limit)
-                    .then(|| self.wavefront_bound(g, engine_threads, None)),
-                PortfolioMethod::Partition2S => Some(partition2s_bound(g, self.config.sram)),
-            })
-            .collect();
-        if candidates.is_empty() {
-            candidates.push(IoBound::trivial(g));
-        }
-        let best = best_lower_bound(candidates.iter().cloned())
-            // dmc-lint: allow(s1) -- a trivial fallback is pushed when every method is gated off
+        let wavefront = (g.num_vertices() <= opts.cluster_wavefront_limit)
+            .then(|| self.wavefront_bound(g, engine_threads, None));
+        let best = best_lower_bound(std::iter::once(IoBound::trivial(g)).chain(wavefront))
+            // dmc-lint: allow(s1) -- the trivial bound is always a candidate
             .expect("cluster portfolio is non-empty");
         ClusterSummary {
             index,
@@ -993,7 +925,7 @@ impl Analyzer {
     ) -> ComponentReport {
         let candidates = self.portfolio(&piece.cdag, engine_threads);
         let best = best_lower_bound(candidates.iter().cloned())
-            // dmc-lint: allow(s1) -- the portfolio always contains the whole-graph baseline, so it is non-empty
+            // dmc-lint: allow(s1) -- the portfolio always has its two members
             .expect("portfolio is non-empty by construction");
         ComponentReport {
             index,
@@ -1005,30 +937,18 @@ impl Analyzer {
         }
     }
 
-    /// Runs the configured method portfolio on one CDAG.
+    /// Runs the method portfolio on one CDAG: the trivial bound, then the
+    /// wavefront member.
     ///
-    /// When `Trivial` precedes `Wavefront` in the portfolio, the trivial
-    /// bound wins every tie against the wavefront member, so it becomes
+    /// The trivial bound comes first and so wins every tie, which makes it
     /// the wavefront's incumbent (see [`wavefront_bound_above`]): a
     /// wavefront that cannot strictly beat it is reported as a value-0
-    /// candidate instead of being solved. The winner — and so every
-    /// final bound — is unchanged.
+    /// candidate instead of being solved. The winner is the one the
+    /// unfloored wavefront would give.
     fn portfolio(&self, g: &Cdag, engine_threads: usize) -> Vec<IoBound> {
         let trivial = IoBound::trivial(g);
-        let methods = &self.config.methods;
-        let trivial_first = methods
-            .iter()
-            .find(|m| matches!(m, PortfolioMethod::Trivial | PortfolioMethod::Wavefront))
-            == Some(&PortfolioMethod::Trivial);
-        let incumbent = trivial_first.then_some(&trivial);
-        methods
-            .iter()
-            .map(|m| match m {
-                PortfolioMethod::Trivial => trivial.clone(),
-                PortfolioMethod::Wavefront => self.wavefront_bound(g, engine_threads, incumbent),
-                PortfolioMethod::Partition2S => partition2s_bound(g, self.config.sram),
-            })
-            .collect()
+        let wavefront = self.wavefront_bound(g, engine_threads, Some(&trivial));
+        vec![trivial, wavefront]
     }
 
     /// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
@@ -1045,7 +965,7 @@ impl Analyzer {
         let wf = wavefront_bound_above(
             &untagged,
             self.config.sram,
-            self.config.anchor_strategy,
+            AnchorStrategy::Adaptive,
             engine_threads,
             incumbent,
         );
@@ -1095,6 +1015,12 @@ const COARSE_SWEEP_LIMIT: usize = 2048;
 /// `h_min ≥ ⌈max(|O∖I|, |I_used|)/2S⌉` and Lemma 1 gives
 /// `Q ≥ S·(h_min − 1)`. The greedy partition's block count *over*-counts
 /// `h_min` and is reported only as a diagnostic, never used as a bound.
+///
+/// Domination: write `d = max(|O∖I|, |I_used|)`. For `d > 0` the value
+/// `S·(⌈d/2S⌉ − 1)` is below `S·d/2S = d/2 ≤ |I| + |O∖I|`, and for
+/// `d = 0` it is 0. So it is strictly below [`IoBound::trivial`] or both
+/// are 0, and the trivial bound wins every tie by coming first — which is
+/// why the [`Analyzer`] portfolio does not run this method.
 pub fn partition2s_bound(g: &Cdag, s: u64) -> IoBound {
     assert!(s >= 1, "S must be at least 1");
     // Saturating: `2 * s` must not wrap for absurd S (that would *shrink*
@@ -1191,47 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn decompose_off_is_whole_graph_only() {
-        let g = chains::independent_chains(2, 3);
-        let r = Analyzer::new(AnalyzerConfig {
-            sram: 2,
-            threads: 1,
-            decompose: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&g);
-        assert_eq!(r.component_count, 2);
-        assert!(r.composed.is_none());
-        assert_eq!(r.bound.value, r.best_whole_graph.as_ref().unwrap().value);
-    }
-
-    #[test]
-    fn baseline_off_skips_whole_graph_but_keeps_the_bound() {
-        let g = chains::independent_chains(3, 4);
-        let with = analyzer(2, 1).analyze(&g);
-        let without = Analyzer::new(AnalyzerConfig {
-            sram: 2,
-            threads: 1,
-            baseline: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&g);
-        assert!(without.whole_graph.is_empty());
-        assert!(without.best_whole_graph.is_none());
-        assert_eq!(without.bound.value, with.bound.value);
-        // On a connected graph the baseline is the only bound source and
-        // must run regardless of the flag.
-        let connected = Analyzer::new(AnalyzerConfig {
-            sram: 2,
-            threads: 1,
-            baseline: false,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&chains::ladder(3, 3));
-        assert!(connected.best_whole_graph.is_some());
-    }
-
-    #[test]
     fn partition2s_bound_survives_huge_sram() {
         // Regression: `2 * s` used to wrap for S > u64::MAX/2, shrinking
         // the divisor (overclaimed bound) or panicking on div-by-zero.
@@ -1260,7 +1145,6 @@ mod tests {
             sram: 2,
             threads: 1,
             verdicts: true,
-            ..AnalyzerConfig::default()
         })
         .analyze(&g);
         assert_eq!(r.balance.len(), specs::table1_machines().len());

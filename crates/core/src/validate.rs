@@ -383,7 +383,6 @@ impl Analyzer {
             sram: s,
             threads: 1,
             verdicts: false,
-            ..self.config().clone()
         })
         .analyze(g)
         .bound;

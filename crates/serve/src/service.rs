@@ -533,7 +533,6 @@ impl Plan {
                     sram: *sram,
                     threads: *threads,
                     verdicts: true,
-                    ..AnalyzerConfig::default()
                 });
                 let report = if *hierarchical {
                     let hopts = HierarchicalOptions {
@@ -561,7 +560,6 @@ impl Plan {
                     sram: *sram,
                     threads: *threads,
                     verdicts: true,
-                    ..AnalyzerConfig::default()
                 });
                 let report = if *hierarchical {
                     let hopts = HierarchicalOptions {

@@ -70,7 +70,7 @@ fn main() {
         .iter()
         .map(|p| {
             let wavefront =
-                auto_wavefront_bound(&untag_inputs(&p.cdag), s, AnchorStrategy::PerLevel);
+                auto_wavefront_bound(&untag_inputs(&p.cdag), s, AnchorStrategy::Adaptive);
             let trivial = IoBound::trivial(&p.cdag);
             dmc::core::bounds::best_lower_bound([wavefront, trivial]).expect("two candidates")
         })

@@ -59,7 +59,7 @@ proptest! {
         let s = min_s + s_extra;
         let game = execute_rbw(&g, s, &order, CachePolicy::Opt).expect("fits");
         let wavefront =
-            auto_wavefront_bound(&untag_inputs(&g), s as u64, AnchorStrategy::PerLevel);
+            auto_wavefront_bound(&untag_inputs(&g), s as u64, AnchorStrategy::Adaptive);
         let trivial = dmc::core::bounds::IoBound::trivial(&g).value;
         prop_assert!(wavefront.value <= game.io as f64,
             "wavefront {} > exec {}", wavefront.value, game.io);
