@@ -1,11 +1,10 @@
 //! E3/E4 — Theorem 8 + §5.2: prints the CG analysis and benchmarks the
-//! pieces (CDAG generation, wavefront min-cut, and the actual CG solver).
+//! pieces (CDAG generation and wavefront min-cut).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_cdag::cut::min_wavefront;
 use dmc_kernels::cg::cg_cdag;
 use dmc_kernels::grid::Stencil;
-use dmc_solvers::grid::GridOperator;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::cg_experiment());
@@ -16,14 +15,6 @@ fn bench(c: &mut Criterion) {
     let cg = cg_cdag(6, 1, 1, Stencil::VonNeumann);
     group.bench_function("wavefront_mincut/n6d1", |b| {
         b.iter(|| min_wavefront(&cg.cdag, cg.marks[0].upsilon_x).size)
-    });
-    let op = GridOperator::new(12, 3);
-    let rhs = op.generic_rhs();
-    group.bench_function("solver/12cubed", |b| {
-        b.iter(|| {
-            dmc_solvers::cg::cg(|x, y| op.apply(x, y), &rhs, &vec![0.0; op.len()], 1e-6, 300)
-                .iterations
-        })
     });
     group.finish();
 }

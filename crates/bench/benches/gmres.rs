@@ -1,31 +1,15 @@
 //! E5 — Theorem 9 + §5.3: prints the GMRES ratio sweep and benchmarks the
-//! GMRES CDAG build and solver.
+//! GMRES CDAG build.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmc_kernels::gmres::gmres_cdag;
 use dmc_kernels::grid::Stencil;
-use dmc_solvers::grid::GridOperator;
 
 fn bench(c: &mut Criterion) {
     println!("{}", dmc_bench::gmres_experiment());
     let mut group = c.benchmark_group("gmres");
     group.bench_function("cdag_build/n6d1m4", |b| {
         b.iter(|| gmres_cdag(6, 1, 4, Stencil::VonNeumann).cdag.num_vertices())
-    });
-    let op = GridOperator::new(10, 3);
-    let rhs = op.generic_rhs();
-    group.bench_function("solver/10cubed_m30", |b| {
-        b.iter(|| {
-            dmc_solvers::gmres::gmres(
-                |x, y| op.apply(x, y),
-                &rhs,
-                &vec![0.0; op.len()],
-                30,
-                1e-6,
-                20,
-            )
-            .iterations
-        })
     });
     group.finish();
 }

@@ -22,11 +22,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("stencil_sweep_2d/n128", |b| {
-        let u = vec![1.0f64; 128 * 128];
-        let mut out = vec![0.0f64; 128 * 128];
-        b.iter(|| dmc_solvers::jacobi::stencil_sweep_2d(&u, 128, &mut out))
-    });
     group.finish();
 }
 

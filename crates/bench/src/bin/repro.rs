@@ -508,7 +508,7 @@ fn main() {
         "list" => dmc_bench::list_catalog(),
         "partition" => dmc_bench::partition_experiment(),
         "parallel" => dmc_bench::parallel_experiment(),
-        "figures" | "fig1" | "fig2" | "solvers" => dmc_bench::figures(),
+        "figures" | "fig1" => dmc_bench::figures(),
         "all" => dmc_bench::run_all_with(threads),
         other => usage_error(&format!("unknown experiment '{other}'")),
     });

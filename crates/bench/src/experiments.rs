@@ -365,10 +365,12 @@ pub fn mincut_experiment_with(threads: usize) -> String {
         let b = auto_wavefront_bound_with(&g, 4, strat, threads);
         let _ = writeln!(out, "  {name:<10} {:<6.0} {}", b.value, b.provenance.note);
     }
-    // Engine scaling: the bound must not vary with the worker count; only
-    // the wall clock may.
+    // Engine scaling: w^max and the anchors considered do not vary with
+    // the worker count; only the wall clock does. How many anchors a run
+    // evaluates before the shared best prunes the rest depends on thread
+    // timing, so that count stays out of the table.
     out.push_str("\nengine scaling, ladder(10,10), All anchors (w^max invariant in threads):\n");
-    out.push_str("threads  w^max  evaluated/anchors  ms\n");
+    out.push_str("threads  w^max  anchors  ms\n");
     let g = untag_inputs(&chains::ladder(10, 10));
     let anchors: Vec<dmc_cdag::VertexId> = g.vertices().collect();
     let mut counts = vec![1usize, 2, 4, 8];
@@ -384,8 +386,8 @@ pub fn mincut_experiment_with(threads: usize) -> String {
         let wmax = run.best.as_ref().map_or(0, |w| w.size);
         let _ = writeln!(
             out,
-            "{t:<8} {wmax:<6} {:>5}/{:<11} {ms:.1}",
-            run.anchors_evaluated, run.anchors_considered
+            "{t:<8} {wmax:<6} {:<8} {ms:.1}",
+            run.anchors_considered
         );
     }
     out
@@ -1138,45 +1140,11 @@ pub fn parallel_experiment() -> String {
     out
 }
 
-/// E7/E8/E9 — the schematic figures as executable artefacts.
+/// E7 — Figure 1's memory hierarchy as an executable artefact.
 pub fn figures() -> String {
     let mut out = String::from("== E7 / Figure 1: modeled memory hierarchy (BG/Q-shaped) ==\n");
     let h = specs::ibm_bgq().to_hierarchy(64);
     out.push_str(&h.render_ascii());
-    out.push_str("\n== E8 / Figure 2 + §5.1: 1-D heat equation ==\n");
-    let p = dmc_solvers::heat::HeatProblem::new(31, 1e-4);
-    let u0 = p.sine_initial_condition();
-    let steps = 100;
-    let u = p.run(&u0, steps);
-    let exact = p.analytic_sine_mode(steps as f64 * p.dt);
-    let err = dmc_solvers::vector::max_abs_diff(&u, &exact);
-    let _ = writeln!(
-        out,
-        "Crank–Nicolson vs analytic after {steps} steps (n=31, dt=1e-4): max err {err:.2e}"
-    );
-    let _ = writeln!(out, "mesh ratio a = k/h² = {:.3}", p.mesh_ratio());
-    out.push_str("\n== E9 / Figures 3-4: executable CG and GMRES ==\n");
-    let op = dmc_solvers::grid::GridOperator::new(10, 3);
-    let b = op.generic_rhs();
-    let rcg = dmc_solvers::cg::cg(|x, y| op.apply(x, y), &b, &vec![0.0; op.len()], 1e-8, 2000);
-    let _ = writeln!(
-        out,
-        "CG    10^3 Poisson: converged={} iters={} residual={:.2e}",
-        rcg.converged, rcg.iterations, rcg.residual_norm
-    );
-    let rg = dmc_solvers::gmres::gmres(
-        |x, y| op.apply(x, y),
-        &b,
-        &vec![0.0; op.len()],
-        30,
-        1e-8,
-        50,
-    );
-    let _ = writeln!(
-        out,
-        "GMRES 10^3 Poisson: converged={} iters={} restarts={} residual={:.2e}",
-        rg.converged, rg.iterations, rg.restarts, rg.residual_norm
-    );
     out
 }
 
@@ -1243,9 +1211,9 @@ mod tests {
     #[test]
     fn figures_report_convergence() {
         let t = figures();
-        assert!(t.contains("converged=true"));
-        assert!(t.contains("interconnection network"));
-        assert!(t.contains("max err"));
+        assert!(t.starts_with("== E7 / Figure 1"), "{t}");
+        assert!(t.contains("interconnection network"), "{t}");
+        assert!(!t.contains("== E8"), "{t}");
     }
 
     #[test]
@@ -1277,6 +1245,30 @@ mod tests {
             wmaxes.iter().all(|w| w == &wmaxes[0]),
             "w^max varies with thread count: {wmaxes:?}"
         );
+    }
+
+    /// Every column of the scaling table except `threads` and `ms` is
+    /// thread-invariant, so `repro all` is reproducible apart from `ms`.
+    #[test]
+    fn mincut_scaling_rows_agree_apart_from_threads_and_ms() {
+        let rows = |t: &str| -> Vec<String> {
+            let header = t
+                .lines()
+                .position(|l| l.starts_with("threads"))
+                .expect("scaling table present");
+            t.lines()
+                .skip(header + 1)
+                .take_while(|l| !l.is_empty())
+                .map(|l| {
+                    let cols: Vec<&str> = l.split_whitespace().collect();
+                    cols[1..cols.len() - 1].join(" ")
+                })
+                .collect()
+        };
+        let first = rows(&mincut_experiment_with(4));
+        assert_eq!(first.len(), 4, "1/2/4/8 threads: {first:?}");
+        assert!(first.iter().all(|r| r == &first[0]), "{first:?}");
+        assert_eq!(rows(&mincut_experiment_with(4)), first);
     }
 
     #[test]

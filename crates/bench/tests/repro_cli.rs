@@ -362,6 +362,19 @@ fn analyze_kernel_json_round_trips_through_the_canonical_spec() {
     assert_eq!(run(canonical), first, "canonical spec must round-trip");
 }
 
+/// The §5.1 heat equation is a catalog kernel: a bare name analyzes with
+/// its declared defaults.
+#[test]
+fn analyze_heat_kernel_reports_its_canonical_spec() {
+    let out = repro()
+        .args(["analyze", "--kernel", "heat", "--format", "json"])
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success(), "analyze --kernel heat must exit 0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(r#""spec":"heat(n=8,t=2)""#), "{stdout}");
+}
+
 /// Satellite acceptance: a bad spec is a *usage* error — exit code 2 and
 /// a message that names the problem and points at the catalog.
 #[test]

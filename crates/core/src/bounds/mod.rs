@@ -16,7 +16,6 @@
 
 pub mod decompose;
 pub mod mincut;
-pub mod span;
 
 pub use crate::partition::{corollary1_lower_bound, lemma1_lower_bound};
 

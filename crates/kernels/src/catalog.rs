@@ -601,6 +601,7 @@ impl Registry {
                 Box::new(crate::jacobi::JacobiKernel),
                 Box::new(crate::cg::CgKernel),
                 Box::new(crate::gmres::GmresKernel),
+                Box::new(crate::heat::HeatKernel),
                 Box::new(crate::fft::FftKernel),
                 Box::new(crate::matmul::MatmulKernel),
                 Box::new(crate::composite::CompositeKernel),

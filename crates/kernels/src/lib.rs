@@ -16,6 +16,8 @@
 //! * [`cg`] — Conjugate Gradient iterations on d-dimensional grids
 //!   (Theorem 8);
 //! * [`gmres`] — GMRES with modified Gram–Schmidt (Theorem 9);
+//! * [`heat`] — Crank–Nicolson steps of the 1-D heat equation, each
+//!   solved by the Thomas algorithm (Section 5.1);
 //! * [`jacobi`] — d-dimensional Jacobi stencils (Theorem 10);
 //! * [`fft`] — FFT butterfly networks;
 //! * [`pyramid`] — r-pyramid graphs (Ranjan–Savage–Zubair family);
@@ -42,6 +44,7 @@ pub mod composite;
 pub mod fft;
 pub mod gmres;
 pub mod grid;
+pub mod heat;
 pub mod jacobi;
 pub mod matmul;
 pub mod outer;

@@ -1,46 +1,38 @@
-//! The paper's Section-5.1 model problem end to end: discretize the 1-D
-//! heat equation (Figure 2), march it with Crank–Nicolson over the
-//! tridiagonal system (Equation 11), and validate against the analytic
-//! solution.
+//! The paper's Section-5.1 model problem through the pipeline: the 1-D
+//! heat equation (Equation 11), stepped with Crank–Nicolson and solved by
+//! the Thomas algorithm, is the catalog kernel `heat(n, t)`. This example
+//! certifies its I/O lower bound, then simulates its schedule over a
+//! short sweep of fast-memory sizes and checks the measured traffic sits
+//! between the certified lower and upper bounds.
 //!
 //! ```text
 //! cargo run --example heat_equation
 //! ```
 
-use dmc::solvers::heat::HeatProblem;
-use dmc::solvers::vector::max_abs_diff;
-
-fn sparkline(u: &[f64]) -> String {
-    const LEVELS: &[char] = &[' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-    // Fixed scale (initial peak temperature = 1) so cooling is visible.
-    u.iter()
-        .map(|&v| LEVELS[(v.clamp(0.0, 1.0) * (LEVELS.len() - 1) as f64) as usize])
-        .collect()
-}
+use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
 
 fn main() {
-    let p = HeatProblem::new(63, 5e-5);
-    println!(
-        "1-D heat equation: n = {}, h = {:.4}, dt = {:.1e}, mesh ratio a = {:.2}",
-        p.n,
-        p.h(),
-        p.dt,
-        p.mesh_ratio()
+    let spec = "heat(n=64,t=8)";
+    let analyzer = Analyzer::new(AnalyzerConfig {
+        sram: 4,
+        ..AnalyzerConfig::default()
+    });
+
+    // 1. The certified lower bound at S = 4, with its derivation tree.
+    let report = analyzer
+        .analyze_spec(spec)
+        .expect("heat is a catalog kernel — see `repro list`");
+    println!("{report}");
+
+    // 2. The kernel's schedule on the cache simulator, sandwiched at every
+    //    S between the certified lower bound and the validated RBW game.
+    let validation = analyzer
+        .validate_spec(spec, &[4, 16, 64], None)
+        .expect("heat is a catalog kernel — see `repro list`");
+    println!("{validation}");
+    assert!(
+        validation.sandwich_holds(),
+        "LB <= OPT <= LRU <= UB must hold at every S"
     );
-    let mut u = p.sine_initial_condition();
-    println!("\ntemperature profile over time (hot bar cooling through its ends):");
-    println!("t=0.0000  |{}|", sparkline(&u));
-    let chunk = 400;
-    for step in 1..=6 {
-        u = p.run(&u, chunk);
-        let t = (step * chunk) as f64 * p.dt;
-        println!("t={t:.4}  |{}|", sparkline(&u));
-    }
-    // Validation against separation of variables.
-    let total_steps = 6 * chunk;
-    let exact = p.analytic_sine_mode(total_steps as f64 * p.dt);
-    let err = max_abs_diff(&u, &exact);
-    println!("\nmax error vs analytic e^(-pi^2 t)·sin(pi x): {err:.3e}");
-    assert!(err < 1e-3, "discretization error out of tolerance");
-    println!("Crank–Nicolson matches the analytic solution.");
+    println!("the sandwich holds at every S.");
 }

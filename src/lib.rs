@@ -7,7 +7,6 @@
 //! * [`core`] — pebble games, S-partitions, decomposition, lower bounds.
 //! * [`machine`] — machine models and balance parameters.
 //! * [`kernels`] — CDAG generators for the analyzed algorithms.
-//! * [`solvers`] — numerical solvers (CG, GMRES, Jacobi, heat equation).
 //! * [`sim`] — execution-driven memory-hierarchy simulator.
 
 #![forbid(unsafe_code)]
@@ -17,4 +16,3 @@ pub use dmc_core as core;
 pub use dmc_kernels as kernels;
 pub use dmc_machine as machine;
 pub use dmc_sim as sim;
-pub use dmc_solvers as solvers;

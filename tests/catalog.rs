@@ -68,6 +68,7 @@ fn registry_covers_the_experiment_families() {
         "jacobi",
         "cg",
         "gmres",
+        "heat",
         "fft",
         "matmul",
         "composite",
