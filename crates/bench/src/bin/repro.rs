@@ -59,6 +59,7 @@
 //! numbers as `BENCH_serve.json`.
 
 use dmc_bench::ReportFormat;
+use dmc_core::job::{parse_sweep, JobKind, JobOption, DEFAULT_SRAM};
 use dmc_sim::CachePolicy;
 
 fn usage_error(msg: &str) -> ! {
@@ -101,14 +102,6 @@ struct Args {
     workers: Option<usize>,
     cache_entries: Option<usize>,
     cache_bytes: Option<usize>,
-}
-
-fn parse_sweep(raw: &str) -> (u64, u64, u64) {
-    let parts: Vec<Option<u64>> = raw.split(':').map(|p| p.parse().ok()).collect();
-    match parts.as_slice() {
-        [Some(lo), Some(hi), Some(step)] => (*lo, *hi, *step),
-        _ => usage_error("--sram-sweep needs lo:hi:step (three positive integers)"),
-    }
 }
 
 fn parse_args(args: &[String]) -> Args {
@@ -173,7 +166,9 @@ fn parse_args(args: &[String]) -> Args {
             }
             "--sram-sweep" => {
                 let v = inline.unwrap_or_else(|| take_value(args, &mut i, "--sram-sweep"));
-                parsed.sram_sweep = Some(parse_sweep(&v));
+                parsed.sram_sweep = Some(parse_sweep(&v).unwrap_or_else(|| {
+                    usage_error("--sram-sweep needs lo:hi:step (three positive integers)")
+                }));
             }
             "--policy" => {
                 let v = inline.unwrap_or_else(|| take_value(args, &mut i, "--policy"));
@@ -331,11 +326,18 @@ fn main() {
     let args = parse_args(&args);
     let arg = args.experiment.clone().unwrap_or_else(|| "all".to_string());
     // Flags an experiment would silently drop are rejected loudly:
-    // `--kernel`/`--sram`/`--format` only shape the analyze/simulate
-    // reports, `--sram-sweep`/`--policy` only the simulate sweep, and
-    // `--threads` only drives the threaded stages.
-    let analyzing_input = arg == "analyze" && (args.file.is_some() || args.kernel.is_some());
+    // `--kernel`/`--format` only shape the analyze/simulate reports, the
+    // job options only the jobs that take them (the job's rule decides,
+    // these messages are the CLI's), and `--threads` only drives the
+    // threaded stages.
     let simulating = arg == "simulate";
+    let job_kind = match (arg.as_str(), &args.machine) {
+        ("analyze", _) if args.file.is_some() || args.kernel.is_some() => Some(JobKind::Analyze),
+        ("simulate", Some(_)) => Some(JobKind::Machine),
+        ("simulate", None) => Some(JobKind::Sweep),
+        _ => None,
+    };
+    let stray = |option| !job_kind.is_some_and(|k| k.takes(option, args.hierarchical));
     if args.kernel.is_some() && !(arg == "analyze" || simulating) {
         usage_error("--kernel only applies to 'analyze' and 'simulate'");
     }
@@ -345,11 +347,11 @@ fn main() {
     if simulating && args.kernel.is_none() && args.machine.is_none() {
         usage_error("simulate needs --kernel '<spec>' or --machine <name> (see `repro list`)");
     }
-    if args.machine.is_some() && !simulating {
+    if args.machine.is_some() && stray(JobOption::Machine) {
         usage_error("--machine only applies to 'simulate'");
     }
-    let machine_sim = simulating && args.machine.is_some();
-    if args.sram.is_some() && !(analyzing_input || machine_sim) {
+    let machine_sim = job_kind == Some(JobKind::Machine);
+    if args.sram.is_some() && stray(JobOption::Sram) {
         usage_error(
             "--sram only applies to 'analyze <file.cdag>', 'analyze --kernel', \
              and 'simulate --machine' (the per-core S1)",
@@ -359,7 +361,7 @@ fn main() {
         usage_error("--sram-sweep does not apply to 'simulate --machine'; use --sram to set S1");
     }
     let linting = arg == "lint";
-    if args.format.is_some() && !(analyzing_input || simulating || linting) {
+    if args.format.is_some() && job_kind.is_none() && !linting {
         usage_error(
             "--format only applies to 'analyze <file.cdag>', 'analyze --kernel', \
              'simulate', and 'lint'",
@@ -368,13 +370,15 @@ fn main() {
     if args.rules.is_some() && !linting {
         usage_error("--rules only applies to 'lint'");
     }
-    if (args.sram_sweep.is_some() || args.policy.is_some()) && !simulating {
+    if (args.sram_sweep.is_some() && stray(JobOption::SramSweep))
+        || (args.policy.is_some() && stray(JobOption::Policy))
+    {
         usage_error("--sram-sweep and --policy only apply to 'simulate'");
     }
-    if args.hierarchical && !analyzing_input {
+    if args.hierarchical && stray(JobOption::Hierarchical) {
         usage_error("--hierarchical only applies to 'analyze <file.cdag>' or 'analyze --kernel'");
     }
-    if args.clusters.is_some() && !args.hierarchical {
+    if args.clusters.is_some() && stray(JobOption::Clusters) {
         usage_error("--clusters needs --hierarchical");
     }
     let serving = arg == "serve";
@@ -435,11 +439,7 @@ fn main() {
     // `simulate --machine` gets its own perf-snapshot series
     // (`BENCH_machine.json`) so the machine sweep's trajectory is
     // tracked separately from the single-cache sweep's.
-    let snap_name = if arg == "simulate" && args.machine.is_some() {
-        "machine"
-    } else {
-        arg.as_str()
-    };
+    let snap_name = if machine_sim { "machine" } else { arg.as_str() };
     let out = dmc_bench::snapshot::timed(snap_name, threads, || match arg.as_str() {
         "table1" => dmc_bench::table1(),
         "sec3" => dmc_bench::sec3_composite(&[2, 4, 8]),
@@ -449,7 +449,7 @@ fn main() {
         "pebbling" | "validate" => dmc_bench::pebbling_experiment(),
         "mincut" => dmc_bench::mincut_experiment_with(threads),
         "analyze" => {
-            let sram = args.sram.unwrap_or(4);
+            let sram = args.sram.unwrap_or(DEFAULT_SRAM);
             let format = args.format.unwrap_or(ReportFormat::Text);
             let opts = dmc_bench::AnalyzeOptions {
                 hierarchical: args.hierarchical,

@@ -8,10 +8,11 @@ use dmc_core::bounds::mincut::{auto_wavefront_bound, AnchorStrategy};
 use dmc_core::bounds::IoBound;
 use dmc_core::games::executor::{certified_upper_bound, execute_rbw};
 use dmc_core::games::optimal::{optimal_io, GameKind};
+use dmc_core::job::{catalog_machines, Input, Job, JobReport};
 use dmc_core::parallel::horizontal::ghost_cell_upper_bound;
 use dmc_core::partition::construct::{from_trace, greedy_partition};
 use dmc_core::partition::validate_rbw;
-use dmc_kernels::catalog::Registry;
+use dmc_kernels::catalog::{KernelSpec, Registry};
 use dmc_kernels::grid::Stencil;
 use dmc_kernels::profile::{cg_profile, gmres_profile, jacobi_profile};
 use dmc_kernels::{cg, chains, composite, fft, gmres, jacobi, matmul, outer};
@@ -20,7 +21,6 @@ use dmc_machine::MemoryHierarchy;
 use dmc_sim::hierarchy_sim::remote_reads;
 use dmc_sim::schedule;
 use dmc_sim::simulation::{CachePolicy, Simulation};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// E1 — Table 1: machine specs and balance parameters.
@@ -393,7 +393,7 @@ pub fn mincut_experiment_with(threads: usize) -> String {
     out
 }
 
-/// Output format of [`analyze_file`].
+/// Output format of the `repro analyze|simulate` backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFormat {
     /// Human-readable provenance-tree report.
@@ -489,19 +489,9 @@ pub fn analyze_experiment_with(threads: usize) -> String {
 }
 
 /// Analyzes a `.cdag` text file end to end with the unified pipeline —
-/// the `repro analyze <file>` backend.
-pub fn analyze_file(
-    path: &str,
-    sram: u64,
-    threads: usize,
-    format: ReportFormat,
-) -> Result<String, String> {
-    analyze_file_with(path, sram, threads, format, AnalyzeOptions::default())
-}
-
-/// [`analyze_file`] with the full flag set ([`AnalyzeOptions`]); the
-/// admission-limit override does not apply to files (nothing is built
-/// from parameters) and is ignored here.
+/// the `repro analyze <file>` backend, with the full flag set
+/// ([`AnalyzeOptions`]); the admission-limit override does not apply to
+/// files (nothing is built from parameters) and is ignored here.
 pub fn analyze_file_with(
     path: &str,
     sram: u64,
@@ -509,38 +499,16 @@ pub fn analyze_file_with(
     format: ReportFormat,
     opts: AnalyzeOptions,
 ) -> Result<String, String> {
-    use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = dmc_cdag::textio::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let analyzer = Analyzer::new(AnalyzerConfig {
-        sram,
-        threads,
-        verdicts: true,
-    });
-    let report = if opts.hierarchical {
-        let hopts = HierarchicalOptions {
-            clusters: opts.clusters,
-            ..HierarchicalOptions::default()
-        };
-        analyzer.analyze_hierarchical(&g, &hopts)
-    } else {
-        analyzer.analyze(&g)
-    };
-    Ok(match format {
-        ReportFormat::Text => {
-            let mode = if opts.hierarchical {
-                " --hierarchical"
-            } else {
-                ""
-            };
-            format!("== repro analyze {path}{mode} ==\n{report}")
-        }
-        ReportFormat::Json => {
-            let mut json = serde::json::to_string(&report);
-            json.push('\n');
-            json
-        }
-    })
+    let job = Job::analyze(
+        Input::Graph(g),
+        Some(sram),
+        opts.hierarchical.then_some(opts.clusters),
+    )
+    .map_err(|e| format!("--{e}"))?;
+    let header = format!("analyze {path}{}", opts.mode());
+    Ok(render(job.run(threads), format, &header))
 }
 
 /// The kernel catalog rendered for `repro list`: every registered
@@ -643,21 +611,42 @@ pub struct AnalyzeOptions {
     pub max_vertices: Option<u64>,
 }
 
-/// Analyzes a catalog kernel spec end to end with the unified pipeline —
-/// the `repro analyze --kernel <spec>` backend. A bad spec returns
-/// `Err` with the catalog's loud message (the CLI exits 2 on it, like
-/// every other usage error).
-pub fn analyze_kernel_spec(
-    spec: &str,
-    sram: u64,
-    threads: usize,
-    format: ReportFormat,
-) -> Result<String, String> {
-    analyze_kernel_spec_with(spec, sram, threads, format, AnalyzeOptions::default())
+impl AnalyzeOptions {
+    /// The text header's mode suffix.
+    fn mode(&self) -> &'static str {
+        if self.hierarchical {
+            " --hierarchical"
+        } else {
+            ""
+        }
+    }
 }
 
-/// [`analyze_kernel_spec`] with the full flag set: hierarchical mode,
-/// explicit cluster count, and a raised/lowered admission limit.
+/// Catalog admission under `max_vertices` (`None` = the catalog's
+/// default limit), with the catalog's own loud message (the CLI exits 2
+/// on it, like every other usage error).
+fn admit(spec: &str, max_vertices: Option<u64>) -> Result<KernelSpec<'static>, String> {
+    use dmc_kernels::catalog::DEFAULT_MAX_BUILD_VERTICES;
+    Registry::shared()
+        .parse_within(spec, max_vertices.unwrap_or(DEFAULT_MAX_BUILD_VERTICES))
+        .map_err(|e| format!("{e}\n(run `repro list` for the catalog)"))
+}
+
+/// An analysis or sweep report as `repro` prints it: the JSON line, or
+/// the text under its `== repro {header} ==` line.
+fn render(report: JobReport, format: ReportFormat, header: &str) -> String {
+    match (format, report) {
+        (ReportFormat::Text, JobReport::Analysis(r)) => format!("== repro {header} ==\n{r}"),
+        (ReportFormat::Text, JobReport::Sweep(r)) => format!("== repro {header} ==\n{r}"),
+        (_, report) => report.to_json_line(),
+    }
+}
+
+/// Analyzes a catalog kernel spec end to end with the unified pipeline —
+/// the `repro analyze --kernel <spec>` backend, with the full flag set:
+/// hierarchical mode, explicit cluster count, and a raised/lowered
+/// admission limit. A bad spec returns `Err` with the catalog's loud
+/// message (the CLI exits 2 on it, like every other usage error).
 pub fn analyze_kernel_spec_with(
     spec: &str,
     sram: u64,
@@ -665,45 +654,15 @@ pub fn analyze_kernel_spec_with(
     format: ReportFormat,
     opts: AnalyzeOptions,
 ) -> Result<String, String> {
-    use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
-    use dmc_kernels::catalog::DEFAULT_MAX_BUILD_VERTICES;
-    let parsed = Registry::shared()
-        .parse_within(
-            spec,
-            opts.max_vertices.unwrap_or(DEFAULT_MAX_BUILD_VERTICES),
-        )
-        .map_err(|e| format!("{e}\n(run `repro list` for the catalog)"))?;
-    let analyzer = Analyzer::new(AnalyzerConfig {
-        sram,
-        threads,
-        verdicts: true,
-    });
-    let report = if opts.hierarchical {
-        let hopts = HierarchicalOptions {
-            clusters: opts.clusters,
-            ..HierarchicalOptions::default()
-        };
-        analyzer.analyze_kernel_hierarchical(&parsed, &hopts)
-    } else {
-        analyzer.analyze_kernel(&parsed)
-    };
-    Ok(match format {
-        ReportFormat::Text => {
-            // dmc-lint: allow(s1) -- analyze_kernel attaches kernel provenance to every spec-driven report by construction
-            let canonical = &report.kernel.as_ref().expect("spec-driven report").spec;
-            let mode = if opts.hierarchical {
-                " --hierarchical"
-            } else {
-                ""
-            };
-            format!("== repro analyze --kernel {canonical}{mode} ==\n{report}")
-        }
-        ReportFormat::Json => {
-            let mut json = serde::json::to_string(&report);
-            json.push('\n');
-            json
-        }
-    })
+    let parsed = admit(spec, opts.max_vertices)?;
+    let header = format!("analyze --kernel {}{}", parsed.render(), opts.mode());
+    let job = Job::analyze(
+        Input::Spec(parsed),
+        Some(sram),
+        opts.hierarchical.then_some(opts.clusters),
+    )
+    .map_err(|e| format!("--{e}"))?;
+    Ok(render(job.run(threads), format, &header))
 }
 
 /// E14 — the full kernel catalog through the pipeline: every registered
@@ -836,51 +795,14 @@ pub fn simulate_experiment_with(threads: usize) -> String {
 pub fn simulate_kernel_spec(
     spec: &str,
     sweep: Option<(u64, u64, u64)>,
-    policy: Option<dmc_sim::CachePolicy>,
+    policy: Option<CachePolicy>,
     threads: usize,
     format: ReportFormat,
 ) -> Result<String, String> {
-    use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
-    let registry = Registry::shared();
-    let parsed = registry
-        .parse(spec)
-        .map_err(|e| format!("{e}\n(run `repro list` for the catalog)"))?;
-    let g = parsed.build();
-    let srams: Vec<u64> = match sweep {
-        Some((lo, hi, step)) => {
-            if lo == 0 || step == 0 || hi < lo {
-                return Err(
-                    "--sram-sweep needs lo:hi:step with 1 <= lo <= hi and step >= 1".into(),
-                );
-            }
-            let points = (hi - lo) / step + 1;
-            if points > 256 {
-                return Err(format!(
-                    "--sram-sweep spans {points} points (limit 256); widen the step"
-                ));
-            }
-            (lo..=hi).step_by(step as usize).collect()
-        }
-        None => {
-            // Default: three octaves up from the schedule's minimum
-            // feasible capacity, so the sweep is always simulatable.
-            let required = dmc_sim::simulation::min_feasible_capacity(&g) as u64;
-            vec![required, 2 * required, 4 * required]
-        }
-    };
-    let analyzer = Analyzer::new(AnalyzerConfig {
-        threads,
-        ..AnalyzerConfig::default()
-    });
-    let report = analyzer.validate_built(&parsed, &g, &srams, policy);
-    Ok(match format {
-        ReportFormat::Text => format!("== repro simulate --kernel {} ==\n{report}", report.spec),
-        ReportFormat::Json => {
-            let mut json = serde::json::to_string(&report);
-            json.push('\n');
-            json
-        }
-    })
+    let parsed = admit(spec, None)?;
+    let header = format!("simulate --kernel {}", parsed.render());
+    let job = Job::sweep(parsed, sweep, policy).map_err(|e| format!("--{e}"))?;
+    Ok(render(job.run(threads), format, &header))
 }
 
 /// The kernels of the E17 machine-roofline table — the same four
@@ -893,22 +815,16 @@ pub const E17_KERNELS: [&str; 4] = [
     "composite(n=3)",
 ];
 
-/// Default per-core level-1 capacity (words) for machine simulation when
-/// `--sram` is not given.
-pub const DEFAULT_MACHINE_S1: u64 = 64;
+pub use dmc_core::job::DEFAULT_MACHINE_S1;
 
 /// Resolves the `--machine` argument to a list of [`dmc_machine::MachineSpec`]s:
-/// a catalog name (case-insensitive), `all`/`catalog` for the whole
-/// sweep, or a path to a `key = value` spec file. Unknown names are loud
-/// errors listing the valid catalog entries.
+/// a catalog name or `all`/`catalog` ([`catalog_machines`]), or a path to
+/// a `key = value` spec file. Unknown names are loud errors listing the
+/// valid catalog entries.
 pub fn resolve_machines(arg: &str) -> Result<Vec<dmc_machine::MachineSpec>, String> {
-    use dmc_machine::specs;
     let trimmed = arg.trim();
-    if trimmed.eq_ignore_ascii_case("all") || trimmed.eq_ignore_ascii_case("catalog") {
-        return Ok(specs::machine_catalog());
-    }
-    if let Some(m) = specs::find_machine(trimmed) {
-        return Ok(vec![m]);
+    if let Some(machines) = catalog_machines(trimmed) {
+        return Ok(machines);
     }
     if std::path::Path::new(trimmed).exists() {
         let text = std::fs::read_to_string(trimmed)
@@ -930,64 +846,38 @@ pub fn resolve_machines(arg: &str) -> Result<Vec<dmc_machine::MachineSpec>, Stri
 /// `machine_arg` is a catalog name, `all`/`catalog`, or a spec-file path
 /// (see [`resolve_machines`]); `kernel` restricts the sweep to one
 /// catalog spec (`None` = the [`E17_KERNELS`] set); `s1` is the per-core
-/// level-1 capacity in words. A single kernel × machine pair in JSON
-/// renders the bare [`dmc_core::MachineValidationReport`] (the shape the
-/// serve daemon mirrors byte-for-byte); multi-report runs wrap them in a
-/// `{"reports": [...]}` envelope.
+/// level-1 capacity in words. JSON is [`JobReport::to_json_line`]: a
+/// single kernel × machine pair renders the bare
+/// [`dmc_core::MachineValidationReport`], multi-report runs wrap them in
+/// a `{"reports": [...]}` envelope.
 pub fn simulate_machine(
     machine_arg: &str,
     kernel: Option<&str>,
     s1: u64,
-    policy: Option<dmc_sim::CachePolicy>,
+    policy: Option<CachePolicy>,
     threads: usize,
     format: ReportFormat,
 ) -> Result<String, String> {
-    use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
-    if s1 == 0 {
-        return Err("--sram (the per-core level-1 capacity) must be >= 1".into());
-    }
     let machines = resolve_machines(machine_arg)?;
-    let kernels: Vec<&str> = match kernel {
+    let specs = match kernel {
         Some(k) => vec![k],
         None => E17_KERNELS.to_vec(),
-    };
-    let analyzer = Analyzer::new(AnalyzerConfig {
-        threads,
-        ..AnalyzerConfig::default()
-    });
-    let mut reports = Vec::new();
-    for spec in &kernels {
-        for machine in &machines {
-            let r = analyzer
-                .validate_machine_spec(spec, machine, s1, policy)
-                .map_err(|e| format!("{e}\n(run `repro list` for the catalog)"))?;
-            reports.push(r);
-        }
     }
-    Ok(match format {
-        ReportFormat::Text => {
-            let mut out = String::new();
-            for r in &reports {
-                let _ = writeln!(
-                    out,
-                    "== repro simulate --machine {} --kernel {} ==\n{r}",
+    .into_iter()
+    .map(|spec| admit(spec, None))
+    .collect::<Result<Vec<_>, _>>()?;
+    let job = Job::machine(specs, machines, Some(s1), policy).map_err(|e| format!("--{e}"))?;
+    Ok(match (format, job.run(threads)) {
+        (ReportFormat::Text, JobReport::Machine(reports)) => reports
+            .iter()
+            .map(|r| {
+                format!(
+                    "== repro simulate --machine {} --kernel {} ==\n{r}\n",
                     r.machine, r.spec
-                );
-            }
-            out
-        }
-        ReportFormat::Json => {
-            let mut json = if reports.len() == 1 {
-                serde::json::to_string(&reports[0])
-            } else {
-                serde::json::to_string(&serde::json::Value::object([(
-                    "reports",
-                    reports.to_json(),
-                )]))
-            };
-            json.push('\n');
-            json
-        }
+                )
+            })
+            .collect(),
+        (_, report) => report.to_json_line(),
     })
 }
 
@@ -1337,7 +1227,14 @@ mod tests {
 
     #[test]
     fn analyze_kernel_spec_rejects_bad_specs_loudly() {
-        let err = analyze_kernel_spec("warp_drive(n=4)", 4, 1, ReportFormat::Text).unwrap_err();
+        let err = analyze_kernel_spec_with(
+            "warp_drive(n=4)",
+            4,
+            1,
+            ReportFormat::Text,
+            AnalyzeOptions::default(),
+        )
+        .unwrap_err();
         assert!(err.contains("unknown kernel"), "{err}");
         assert!(err.contains("repro list"), "{err}");
     }

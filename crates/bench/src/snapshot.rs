@@ -1,8 +1,9 @@
-//! `BENCH_*.json` perf-trajectory snapshots.
+//! `BENCH_*.json` wall-clock snapshots.
 //!
 //! The `repro` binary records machine-readable wall-clock timings for
-//! the timed experiments (E16 scale, mincut, analyze, …) so successive
-//! checkouts can compare performance instead of flying blind. Snapshots
+//! the timed experiments (E16 scale, mincut, analyze, …): one run each,
+//! a smoke number next to the output (the repository's performance is
+//! measured by `BENCHMARK.json` and `perfbench/`). Snapshots
 //! are **process-opt-in**: nothing is written unless [`enable_from_env`]
 //! ran first, which only the `repro` binary does — library users, unit
 //! tests, and criterion benches never touch the filesystem.
@@ -10,8 +11,7 @@
 //! Each record lands in `$DMC_BENCH_DIR` (or the workspace root when the
 //! variable is unset, falling back to the current directory outside a
 //! workspace) as `BENCH_<name>.json`, one JSON object per file,
-//! overwritten on every run — the *trajectory* lives in version control,
-//! not in an append log. Anchoring the default at the workspace root
+//! overwritten on every run. Anchoring the default at the workspace root
 //! keeps every snapshot in one place no matter which directory `repro`
 //! is invoked from.
 //!

@@ -1,13 +1,16 @@
 //! The serve ↔ CLI byte-identity contract and the loadgen floors.
 //!
-//! `dmc-serve` cannot depend on `dmc-bench` (the `repro` binary depends
-//! on serve), so the daemon re-implements the CLI's small JSON render
-//! paths. This test — in the one crate that sees both — pins them
-//! together: for every spec and option combination tried, the HTTP body
-//! must equal `analyze_kernel_spec_with(..., Json)` /
-//! `simulate_kernel_spec(..., Json)` byte for byte. It also runs the
-//! loadgen harness once and asserts the ISSUE's acceptance floors:
-//! ≥ 100 req/s against a warm cache, a sane hit rate, zero failures.
+//! `repro analyze|simulate` and `dmc-serve` build and run the same
+//! `dmc_core::job::Job` and print the same `JobReport::to_json_line`, so
+//! what can still drift is what each front end keeps for itself: argv
+//! vs query parsing, admission, the cache. This test — in the one crate
+//! that sees both — pins them together: for every spec and option
+//! combination tried, the HTTP body must equal
+//! `analyze_kernel_spec_with(..., Json)` / `simulate_kernel_spec(...,
+//! Json)` / `simulate_machine(..., Json)` byte for byte, cache hits
+//! included. It also runs the loadgen harness once and asserts the
+//! acceptance floors: ≥ 100 req/s against a warm cache, a sane hit rate,
+//! zero failures.
 
 use dmc_bench::{analyze_kernel_spec_with, simulate_kernel_spec, AnalyzeOptions, ReportFormat};
 use dmc_serve::{Limits, Server, ServerConfig, ServiceConfig};

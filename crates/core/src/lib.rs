@@ -35,6 +35,9 @@
 //!   every boundary of a [`dmc_machine::MachineSpec`]'s node hierarchy,
 //!   under a deterministic P-processor wavefront split, with Equation-7/8
 //!   roofline verdicts per level and for the network.
+//! * **Jobs** ([`job`]): the one options → job → report path that `repro
+//!   analyze|simulate` and `dmc-serve` share — option applicability,
+//!   defaults, the sweep rule and the JSON line of each report.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,6 +46,7 @@
 pub mod analysis;
 pub mod bounds;
 pub mod games;
+pub mod job;
 pub mod machine_validate;
 pub mod parallel;
 pub mod partition;

@@ -150,7 +150,7 @@ impl Serialize for MachineLevelPoint {
 /// The machine-simulation report of one kernel on one [`MachineSpec`]:
 /// a certified sandwich per hierarchy boundary plus the roofline
 /// verdicts. Produced by [`Analyzer::validate_machine_spec`] /
-/// [`Analyzer::validate_machine_kernel`].
+/// [`Analyzer::validate_machine_built`].
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "machine verdicts must be inspected, not dropped"]
 pub struct MachineValidationReport {
@@ -358,22 +358,12 @@ impl Analyzer {
         s1: u64,
         policy: Option<CachePolicy>,
     ) -> Result<MachineValidationReport, SpecError> {
-        Ok(self.validate_machine_kernel(&Registry::shared().parse(spec)?, machine, s1, policy))
+        let spec = Registry::shared().parse(spec)?;
+        Ok(self.validate_machine_built(&spec, &spec.build(), machine, s1, policy))
     }
 
-    /// [`Analyzer::validate_machine_spec`] for an already-parsed spec.
-    pub fn validate_machine_kernel(
-        &self,
-        spec: &KernelSpec<'_>,
-        machine: &MachineSpec,
-        s1: u64,
-        policy: Option<CachePolicy>,
-    ) -> MachineValidationReport {
-        self.validate_machine_built(spec, &spec.build(), machine, s1, policy)
-    }
-
-    /// [`Analyzer::validate_machine_kernel`] against an already-built
-    /// CDAG. `g` must be the graph `spec` builds.
+    /// [`Analyzer::validate_machine_spec`] for an already-parsed spec
+    /// and the graph it builds (`g` must be `spec.build()`).
     pub fn validate_machine_built(
         &self,
         spec: &KernelSpec<'_>,

@@ -79,7 +79,7 @@ pub struct AnalyzerConfig {
 impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
-            sram: 4,
+            sram: crate::job::DEFAULT_SRAM,
             threads: 0,
             verdicts: false,
         }
@@ -793,18 +793,6 @@ impl Analyzer {
         }
     }
 
-    /// Parses `spec`, builds the CDAG, and runs the hierarchical
-    /// pipeline on it (the spec-string sibling of
-    /// [`Analyzer::analyze_hierarchical`], mirroring
-    /// [`Analyzer::analyze_spec`]).
-    pub fn analyze_spec_hierarchical(
-        &self,
-        spec: &str,
-        opts: &HierarchicalOptions,
-    ) -> Result<AnalysisReport, SpecError> {
-        Ok(self.analyze_kernel_hierarchical(&Registry::shared().parse(spec)?, opts))
-    }
-
     /// Runs the hierarchical pipeline on an already-parsed catalog spec.
     pub fn analyze_kernel_hierarchical(
         &self,
@@ -1284,9 +1272,8 @@ mod tests {
             clusters: Some(3),
             ..HierarchicalOptions::default()
         };
-        let r = analyzer(4, 1)
-            .analyze_spec_hierarchical("matmul(n=4)", &opts)
-            .expect("valid spec");
+        let spec = Registry::shared().parse("matmul(n=4)").expect("valid spec");
+        let r = analyzer(4, 1).analyze_kernel_hierarchical(&spec, &opts);
         assert!(r.kernel.is_some(), "kernel context attached");
         let text = r.to_string();
         assert!(text.contains("hierarchical analysis: 3 clusters"), "{text}");

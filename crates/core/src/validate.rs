@@ -189,7 +189,7 @@ impl Serialize for ValidationPoint {
 
 /// The empirical-validation report of one kernel spec: measured I/O per
 /// sweep point, sandwiched between the certified lower and upper bounds.
-/// Produced by [`Analyzer::validate_spec`] / [`Analyzer::validate_kernel`].
+/// Produced by [`Analyzer::validate_spec`] / [`Analyzer::validate_built`].
 #[derive(Debug, Clone, PartialEq)]
 #[must_use = "validation verdicts must be inspected, not dropped"]
 pub struct ValidationReport {
@@ -316,10 +316,12 @@ impl Analyzer {
         srams: &[u64],
         policy: Option<CachePolicy>,
     ) -> Result<ValidationReport, SpecError> {
-        Ok(self.validate_kernel(&Registry::shared().parse(spec)?, srams, policy))
+        let spec = Registry::shared().parse(spec)?;
+        Ok(self.validate_built(&spec, &spec.build(), srams, policy))
     }
 
-    /// [`Analyzer::validate_spec`] for an already-parsed catalog spec.
+    /// [`Analyzer::validate_spec`] for an already-parsed catalog spec and
+    /// the graph it builds (`g` must be `spec.build()`).
     ///
     /// # Panics
     ///
@@ -327,19 +329,6 @@ impl Analyzer {
     /// [`schedule_source`](dmc_kernels::catalog::Kernel::schedule_source)
     /// hook emits an order that is not a topological order of its own
     /// CDAG — that is a kernel implementation bug, not an input error.
-    pub fn validate_kernel(
-        &self,
-        spec: &KernelSpec<'_>,
-        srams: &[u64],
-        policy: Option<CachePolicy>,
-    ) -> ValidationReport {
-        self.validate_built(spec, &spec.build(), srams, policy)
-    }
-
-    /// [`Analyzer::validate_kernel`] against an already-built CDAG. `g`
-    /// must be the graph `spec` builds — callers that need the graph up
-    /// front (e.g. to derive a default sweep from
-    /// [`min_feasible_capacity`]) use this to avoid building it twice.
     pub fn validate_built(
         &self,
         spec: &KernelSpec<'_>,

@@ -1,25 +1,26 @@
-//! Request routing and the analysis compute paths.
+//! Request routing and admission in front of the shared job path.
 //!
-//! The service is deliberately a thin shim over the same library calls
-//! the `repro` CLI makes: `POST /analyze` runs exactly the pipeline of
-//! `repro analyze --kernel <spec> --format json` (same
-//! [`AnalyzerConfig`], same
-//! `serde::json::to_string(&report)` + trailing newline), so a cached
-//! HTTP body is byte-for-byte the CLI's stdout. The equivalence is
-//! pinned by a test in `crates/bench/tests` (which can see both crates).
+//! `POST /analyze` and `POST /simulate` parse their query parameters,
+//! reject every one the job does not take ([`JobKind::takes`]), admit the
+//! body (a catalog spec under `--max-vertices`, or `.cdag` text) and
+//! build a [`Job`], which checks every value — all before anything is
+//! built or cached. On a miss the cache runs the admitted job and stores
+//! its JSON line, so a cached body is byte-for-byte the `--format json`
+//! stdout of `repro`, which runs the same [`dmc_core::job`] path (pinned
+//! by a test in `crates/bench/tests`, which sees both crates).
 //!
-//! Every response is computed through the [`ResultCache`]: the cache key
-//! is the *canonical* input — [`KernelSpec::render`](dmc_kernels::catalog::KernelSpec::render) for specs, the
+//! The cache key is the job's canonical form: the *canonical* input —
+//! [`KernelSpec::render`](dmc_kernels::catalog::KernelSpec::render) for specs, the
 //! FNV-1a [`content_hash`](dmc_cdag::Cdag::content_hash) of the
-//! canonical text for uploaded graphs — plus the options that change the
-//! report. `threads` is deliberately **excluded** from keys: the repo's
-//! determinism contract (lint rule D2, `docs/DETERMINISM.md`) makes
-//! every report bit-identical at any worker count, so thread count is a
-//! wall-clock knob, not an input.
+//! canonical text for uploaded graphs — plus every resolved option that
+//! changes the report. `threads` is deliberately **excluded** from keys:
+//! the repo's determinism contract (DESIGN.md, "Determinism contract")
+//! makes every report bit-identical at any worker count, so thread count
+//! is a wall-clock knob, not an input.
 
 use crate::cache::{CacheConfig, Outcome, ResultCache};
 use crate::http::Request;
-use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
+use dmc_core::job::{catalog_machines, parse_sweep, Input, Job, JobError, JobKind, JobOption};
 use dmc_kernels::catalog::{Registry, SpecError, DEFAULT_MAX_BUILD_VERTICES};
 use dmc_sim::CachePolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,13 +160,13 @@ impl Service {
             ("GET", "/metrics") => Reply::plain(200, self.metrics_text()),
             ("POST", "/analyze") => {
                 self.counters.analyze_requests.fetch_add(1, Ordering::Relaxed);
-                self.cached(req, Endpoint::Analyze)
+                self.cached(req)
             }
             ("POST", "/simulate") => {
                 self.counters
                     .simulate_requests
                     .fetch_add(1, Ordering::Relaxed);
-                self.cached(req, Endpoint::Simulate)
+                self.cached(req)
             }
             ("POST", "/shutdown") => {
                 let mut r = Reply::plain(200, "shutting down: draining in-flight requests\n".into());
@@ -191,14 +192,26 @@ impl Service {
         reply
     }
 
-    /// One analysis endpoint through the cache: build the canonical key,
-    /// then `get_or_compute` with the panic-contained pipeline call.
-    fn cached(&self, req: &Request, endpoint: Endpoint) -> Reply {
-        let plan = match self.plan(req, endpoint) {
-            Ok(p) => p,
+    /// One analysis endpoint through the cache: build the job and its
+    /// key, then `get_or_compute` with the panic-contained job run.
+    fn cached(&self, req: &Request) -> Reply {
+        let threads = match req.query_param("threads") {
+            Some(v) => match v.parse() {
+                Ok(t) => t,
+                Err(_) => {
+                    return Reply::plain(
+                        400,
+                        format!("query parameter threads={v:?} needs a non-negative integer\n"),
+                    )
+                }
+            },
+            None => self.config.threads,
+        };
+        let (key, job) = match self.job(req) {
+            Ok(j) => j,
             Err(e) => return Reply::plain(e.status, e.body),
         };
-        let result = self.cache.get_or_compute(&plan.key, || {
+        let result = self.cache.get_or_compute(&key, || {
             // A panicking analysis must not leak the in-flight marker
             // (waiters would block forever) or kill the worker, so it is
             // demoted to a plain 500 right here.
@@ -206,7 +219,7 @@ impl Service {
                 self.counters
                     .analyses_performed
                     .fetch_add(1, Ordering::Relaxed);
-                plan.run()
+                Ok(job.run(threads).to_json_line())
             }))
             .unwrap_or_else(|_| {
                 Err(HttpError {
@@ -241,54 +254,62 @@ impl Service {
         )
     }
 
-    /// Parses query parameters + body into a validated compute plan (or
-    /// the 400/413 that rejects it), without running anything yet.
-    fn plan(&self, req: &Request, endpoint: Endpoint) -> Result<Plan, HttpError> {
-        let threads = match req.query_param("threads") {
-            Some(v) => v.parse().map_err(|_| {
-                HttpError::bad_request(format!(
-                    "query parameter threads={v:?} needs a non-negative integer\n"
-                ))
-            })?,
-            None => self.config.threads,
-        };
+    /// Parses query parameters and body into a validated job plus its
+    /// cache key (or the 400/413 that rejects them), without building or
+    /// running anything yet.
+    fn job(&self, req: &Request) -> Result<(String, Job), HttpError> {
         if req.body.trim().is_empty() {
             return Err(HttpError::bad_request(format!(
-                "{} needs a request body: a kernel spec string (see GET /catalog) or `.cdag` text\n",
-                endpoint.path()
+                "POST {} needs a request body: a kernel spec string (see GET /catalog) or `.cdag` text\n",
+                req.path
             )));
         }
-        match endpoint {
-            Endpoint::Analyze => self.plan_analyze(req, threads),
-            Endpoint::Simulate => self.plan_simulate(req, threads),
-        }
-    }
-
-    fn plan_analyze(&self, req: &Request, threads: usize) -> Result<Plan, HttpError> {
-        let sram = match req.query_param("sram") {
-            Some(v) => v.parse::<u64>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                HttpError::bad_request(format!(
-                    "query parameter sram={v:?} needs a positive integer word count\n"
-                ))
-            })?,
-            None => 4,
+        let machine = req.query_param("machine");
+        let kind = match (req.path.as_str(), machine) {
+            ("/analyze", _) => JobKind::Analyze,
+            (_, Some(_)) => JobKind::Machine,
+            (_, None) => JobKind::Sweep,
         };
+        let sram = positive(
+            req,
+            "sram",
+            match kind {
+                JobKind::Machine => "word count (the per-core S1)",
+                _ => "word count",
+            },
+        )?;
         let hierarchical = truthy_flag(req, "hierarchical")?;
-        let clusters = match req.query_param("clusters") {
-            Some(v) => Some(v.parse::<usize>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-                HttpError::bad_request(format!(
-                    "query parameter clusters={v:?} needs a positive integer cluster count\n"
-                ))
-            })?),
-            None => None,
+        let clusters = positive(req, "clusters", "cluster count")?;
+        let sweep = req
+            .query_param("sram-sweep")
+            .map(|raw| {
+                parse_sweep(raw).ok_or_else(|| {
+                    HttpError::bad_request(format!(
+                        "query parameter sram-sweep={raw:?} needs lo:hi:step (three positive integers)\n"
+                    ))
+                })
+            })
+            .transpose()?;
+        let policy = match req.query_param("policy") {
+            Some("lru") => Some(CachePolicy::Lru),
+            Some("opt") => Some(CachePolicy::Opt),
+            Some("both") | None => None,
+            Some(other) => {
+                return Err(HttpError::bad_request(format!(
+                    "query parameter policy={other:?} must be 'lru', 'opt', or 'both'\n"
+                )))
+            }
         };
-        if clusters.is_some() && !hierarchical {
-            return Err(HttpError::bad_request(
-                "query parameter clusters needs hierarchical=true\n".to_string(),
-            ));
+        // Any parameter the job does not take is an error, whatever its
+        // value (`policy=both` on /analyze included).
+        if let Some(option) = JobOption::ALL
+            .into_iter()
+            .find(|&o| req.query_param(o.name()).is_some() && !kind.takes(o, hierarchical))
+        {
+            return Err(job_error(JobError::does_not_apply(option, kind)));
         }
-        let clusters_key = clusters.map_or("auto".to_string(), |k| k.to_string());
-        if looks_like_cdag_text(&req.body) {
+        let hierarchical = hierarchical.then_some(clusters);
+        let job = if kind == JobKind::Analyze && looks_like_cdag_text(&req.body) {
             let g = dmc_cdag::textio::from_text(&req.body).map_err(|e| {
                 HttpError::bad_request(format!("cannot parse request body as `.cdag` text: {e}\n"))
             })?;
@@ -302,143 +323,29 @@ impl Service {
                     ),
                 });
             }
-            let key = format!(
-                "analyze cdag={:016x} sram={sram} hier={hierarchical} clusters={clusters_key}",
-                g.content_hash()
-            );
-            Ok(Plan {
-                key,
-                kind: PlanKind::AnalyzeCdag {
-                    g,
-                    sram,
-                    threads,
-                    hierarchical,
-                    clusters,
-                },
-            })
+            Job::analyze(Input::Graph(g), sram, hierarchical)
         } else {
-            let spec = req.body.trim().to_string();
-            let parsed = self.admit(&spec)?;
-            let key = format!(
-                "analyze spec={} sram={sram} hier={hierarchical} clusters={clusters_key}",
-                parsed.render()
-            );
-            Ok(Plan {
-                key,
-                kind: PlanKind::AnalyzeSpec {
-                    spec,
-                    sram,
-                    threads,
-                    hierarchical,
-                    clusters,
-                },
-            })
-        }
-    }
-
-    fn plan_simulate(&self, req: &Request, threads: usize) -> Result<Plan, HttpError> {
-        let policy = match req.query_param("policy") {
-            Some("lru") => Some(CachePolicy::Lru),
-            Some("opt") => Some(CachePolicy::Opt),
-            Some("both") | None => None,
-            Some(other) => {
-                return Err(HttpError::bad_request(format!(
-                    "query parameter policy={other:?} must be 'lru', 'opt', or 'both'\n"
-                )))
-            }
-        };
-        let sweep = match req.query_param("sram-sweep") {
-            Some(raw) => {
-                let parts: Vec<Option<u64>> = raw.split(':').map(|p| p.parse().ok()).collect();
-                match parts.as_slice() {
-                    [Some(lo), Some(hi), Some(step)] => Some((*lo, *hi, *step)),
-                    _ => {
-                        return Err(HttpError::bad_request(format!(
-                            "query parameter sram-sweep={raw:?} needs lo:hi:step (three positive integers)\n"
-                        )))
-                    }
-                }
-            }
-            None => None,
-        };
-        let spec = req.body.trim().to_string();
-        let parsed = self.admit(&spec)?;
-        let policy_key = match policy {
-            Some(CachePolicy::Lru) => "lru",
-            Some(CachePolicy::Opt) => "opt",
-            None => "both",
-        };
-        if let Some(machine_arg) = req.query_param("machine") {
-            // Machine-hierarchy simulation (`repro simulate --machine`).
-            // Only catalog names resolve here — the daemon never reads
-            // spec files off its own filesystem.
-            if sweep.is_some() {
-                return Err(HttpError::bad_request(
-                    "query parameter sram-sweep does not apply with machine=...; use sram to set S1
-"
-                    .to_string(),
-                ));
-            }
-            let machines = if machine_arg.eq_ignore_ascii_case("all")
-                || machine_arg.eq_ignore_ascii_case("catalog")
-            {
-                dmc_machine::specs::machine_catalog()
-            } else {
-                match dmc_machine::specs::find_machine(machine_arg) {
-                    Some(m) => vec![m],
-                    None => {
-                        return Err(HttpError::bad_request(format!(
-                            "query parameter machine={machine_arg:?} is not a catalog entry ({}) — use a catalog name or 'all'
-",
+            let spec = self.admit(req.body.trim())?;
+            match (kind, machine) {
+                (JobKind::Analyze, _) => Job::analyze(Input::Spec(spec), sram, hierarchical),
+                // Only catalog names resolve here — the daemon never reads
+                // spec files off its own filesystem.
+                (_, Some(name)) => {
+                    let machines = catalog_machines(name).ok_or_else(|| {
+                        HttpError::bad_request(format!(
+                            "query parameter machine={name:?} is not a catalog entry ({}) — use a catalog name or 'all'\n",
                             dmc_machine::specs::catalog_names().join(", ")
-                        )))
-                    }
+                        ))
+                    })?;
+                    Job::machine(vec![spec], machines, sram, policy)
                 }
-            };
-            let s1 = match req.query_param("sram") {
-                Some(v) => v.parse::<u64>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                    HttpError::bad_request(format!(
-                        "query parameter sram={v:?} needs a positive integer word count (the per-core S1)
-"
-                    ))
-                })?,
-                // Mirrors `dmc_bench::DEFAULT_MACHINE_S1`.
-                None => 64,
-            };
-            let machine_key = machines
-                .iter()
-                .map(|m| m.name.as_str())
-                .collect::<Vec<_>>()
-                .join(",");
-            let key = format!(
-                "simulate spec={} machine={machine_key} s1={s1} policy={policy_key}",
-                parsed.render()
-            );
-            return Ok(Plan {
-                key,
-                kind: PlanKind::SimulateMachine {
-                    spec,
-                    machines,
-                    s1,
-                    policy,
-                    threads,
-                },
-            });
+                (_, None) => Job::sweep(spec, sweep, policy),
+            }
         }
-        let sweep_key = sweep.map_or("auto".to_string(), |(lo, hi, st)| format!("{lo}:{hi}:{st}"));
-        let key = format!(
-            "simulate spec={} policy={policy_key} sweep={sweep_key}",
-            parsed.render()
-        );
-        Ok(Plan {
-            key,
-            kind: PlanKind::Simulate {
-                spec,
-                sweep,
-                policy,
-                threads,
-            },
-        })
+        .map_err(job_error)?;
+        // The job's canonical form names the input and every resolved
+        // value that changes the report, and never `threads`.
+        Ok((job.to_string(), job))
     }
 
     /// Catalog admission: parse under the configured vertex ceiling,
@@ -460,196 +367,25 @@ impl Service {
     }
 }
 
-/// Which analysis endpoint a plan belongs to.
-#[derive(Clone, Copy)]
-enum Endpoint {
-    Analyze,
-    Simulate,
+/// A rejected job as a 400 naming the query parameter.
+fn job_error(e: JobError) -> HttpError {
+    HttpError::bad_request(format!("query parameter {e}\n"))
 }
 
-impl Endpoint {
-    fn path(self) -> &'static str {
-        match self {
-            Endpoint::Analyze => "POST /analyze",
-            Endpoint::Simulate => "POST /simulate",
-        }
-    }
-}
-
-/// A validated compute plan: the cache key plus everything `run` needs.
-struct Plan {
-    key: String,
-    kind: PlanKind,
-}
-
-enum PlanKind {
-    AnalyzeSpec {
-        spec: String,
-        sram: u64,
-        threads: usize,
-        hierarchical: bool,
-        clusters: Option<usize>,
-    },
-    AnalyzeCdag {
-        g: dmc_cdag::Cdag,
-        sram: u64,
-        threads: usize,
-        hierarchical: bool,
-        clusters: Option<usize>,
-    },
-    Simulate {
-        spec: String,
-        sweep: Option<(u64, u64, u64)>,
-        policy: Option<CachePolicy>,
-        threads: usize,
-    },
-    SimulateMachine {
-        spec: String,
-        machines: Vec<dmc_machine::MachineSpec>,
-        s1: u64,
-        policy: Option<CachePolicy>,
-        threads: usize,
-    },
-}
-
-impl Plan {
-    /// Runs the pipeline. These paths mirror the `repro` CLI backends
-    /// line for line (same analyzer config, same JSON render, same
-    /// trailing newline) — that is the byte-identity contract.
-    fn run(&self) -> Result<String, HttpError> {
-        match &self.kind {
-            PlanKind::AnalyzeSpec {
-                spec,
-                sram,
-                threads,
-                hierarchical,
-                clusters,
-            } => {
-                // Mirrors `dmc_bench::analyze_kernel_spec_with` (Json).
-                let parsed = Registry::shared()
-                    .parse_within(spec, u64::MAX)
-                    .map_err(|e| HttpError::bad_request(format!("{e}\n")))?;
-                let analyzer = Analyzer::new(AnalyzerConfig {
-                    sram: *sram,
-                    threads: *threads,
-                    verdicts: true,
-                });
-                let report = if *hierarchical {
-                    let hopts = HierarchicalOptions {
-                        clusters: *clusters,
-                        ..HierarchicalOptions::default()
-                    };
-                    analyzer.analyze_kernel_hierarchical(&parsed, &hopts)
-                } else {
-                    analyzer.analyze_kernel(&parsed)
-                };
-                let mut json = serde::json::to_string(&report);
-                json.push('\n');
-                Ok(json)
-            }
-            PlanKind::AnalyzeCdag {
-                g,
-                sram,
-                threads,
-                hierarchical,
-                clusters,
-            } => {
-                // Mirrors `dmc_bench::analyze_file_with` (Json), minus
-                // the filesystem read (the body is the file).
-                let analyzer = Analyzer::new(AnalyzerConfig {
-                    sram: *sram,
-                    threads: *threads,
-                    verdicts: true,
-                });
-                let report = if *hierarchical {
-                    let hopts = HierarchicalOptions {
-                        clusters: *clusters,
-                        ..HierarchicalOptions::default()
-                    };
-                    analyzer.analyze_hierarchical(g, &hopts)
-                } else {
-                    analyzer.analyze(g)
-                };
-                let mut json = serde::json::to_string(&report);
-                json.push('\n');
-                Ok(json)
-            }
-            PlanKind::Simulate {
-                spec,
-                sweep,
-                policy,
-                threads,
-            } => {
-                // Mirrors `dmc_bench::simulate_kernel_spec` (Json),
-                // including the sweep validation messages.
-                let parsed = Registry::shared()
-                    .parse(spec)
-                    .map_err(|e| HttpError::bad_request(format!("{e}\n")))?;
-                let g = parsed.build();
-                let srams: Vec<u64> = match sweep {
-                    Some((lo, hi, step)) => {
-                        if *lo == 0 || *step == 0 || hi < lo {
-                            return Err(HttpError::bad_request(
-                                "sram-sweep needs lo:hi:step with 1 <= lo <= hi and step >= 1\n"
-                                    .to_string(),
-                            ));
-                        }
-                        let points = (hi - lo) / step + 1;
-                        if points > 256 {
-                            return Err(HttpError::bad_request(format!(
-                                "sram-sweep spans {points} points (limit 256); widen the step\n"
-                            )));
-                        }
-                        (*lo..=*hi).step_by(*step as usize).collect()
-                    }
-                    None => {
-                        let required = dmc_sim::simulation::min_feasible_capacity(&g) as u64;
-                        vec![required, 2 * required, 4 * required]
-                    }
-                };
-                let analyzer = Analyzer::new(AnalyzerConfig {
-                    threads: *threads,
-                    ..AnalyzerConfig::default()
-                });
-                let report = analyzer.validate_built(&parsed, &g, &srams, *policy);
-                let mut json = serde::json::to_string(&report);
-                json.push('\n');
-                Ok(json)
-            }
-            PlanKind::SimulateMachine {
-                spec,
-                machines,
-                s1,
-                policy,
-                threads,
-            } => {
-                // Mirrors `dmc_bench::simulate_machine` (Json): one
-                // machine renders the bare report, several wrap in a
-                // `{"reports": [...]}` envelope, machines in sweep order.
-                use serde::Serialize;
-                let analyzer = Analyzer::new(AnalyzerConfig {
-                    threads: *threads,
-                    ..AnalyzerConfig::default()
-                });
-                let mut reports = Vec::new();
-                for machine in machines {
-                    let r = analyzer
-                        .validate_machine_spec(spec, machine, *s1, *policy)
-                        .map_err(|e| HttpError::bad_request(format!("{e}\n")))?;
-                    reports.push(r);
-                }
-                let mut json = if reports.len() == 1 {
-                    serde::json::to_string(&reports[0])
-                } else {
-                    serde::json::to_string(&serde::json::Value::object([(
-                        "reports",
-                        reports.to_json(),
-                    )]))
-                };
-                json.push('\n');
-                Ok(json)
-            }
-        }
+/// An optional positive-integer query parameter.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    req: &Request,
+    name: &str,
+    what: &str,
+) -> Result<Option<T>, HttpError> {
+    match req.query_param(name) {
+        Some(v) => match v.parse::<T>() {
+            Ok(n) if n >= T::from(1) => Ok(Some(n)),
+            _ => Err(HttpError::bad_request(format!(
+                "query parameter {name}={v:?} needs a positive integer {what}\n"
+            ))),
+        },
+        None => Ok(None),
     }
 }
 
@@ -844,6 +580,87 @@ mod tests {
         ));
         assert_eq!(r.status, 400);
         assert!(r.body.contains("limit 256"), "{}", r.body);
+    }
+
+    #[test]
+    fn an_admitted_spec_is_not_parsed_again_at_the_default_limit() {
+        // 2^25 vertices: above the catalog's default 2^24 limit, within
+        // this daemon's. The sweep rule must answer, not a second
+        // admission, and nothing may be built.
+        let s = Service::new(ServiceConfig {
+            max_vertices: 1 << 26,
+            ..ServiceConfig::default()
+        });
+        let r = s.handle(&req(
+            "POST",
+            "/simulate",
+            &[("sram-sweep", "8:4:1")],
+            "random(layers=512,width=65536,deg=3,seed=7)",
+        ));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("lo:hi:step"), "{}", r.body);
+        assert!(s.metrics_text().contains("analyses_performed 0"));
+    }
+
+    #[test]
+    fn bad_sweeps_never_reach_the_cache() {
+        let s = service();
+        for sweep in ["8:4:1", "1:10000:1"] {
+            let r = s.handle(&req(
+                "POST",
+                "/simulate",
+                &[("sram-sweep", sweep)],
+                "fft(n=8)",
+            ));
+            assert_eq!(r.status, 400, "{sweep}: {}", r.body);
+        }
+        let m = s.metrics_text();
+        assert!(m.contains("analyses_performed 0"), "{m}");
+        assert!(m.contains("cache_misses 0"), "{m}");
+    }
+
+    #[test]
+    fn parameters_the_job_does_not_take_are_400s_naming_them() {
+        let s = service();
+        for (path, query, named) in [
+            ("/simulate", &[("sram", "8")][..], "sram does not apply"),
+            (
+                "/simulate",
+                &[("hierarchical", "true")][..],
+                "hierarchical does not apply",
+            ),
+            (
+                "/analyze",
+                &[
+                    ("policy", "lru"),
+                    ("sram-sweep", "4:8:4"),
+                    ("machine", "bogus"),
+                ][..],
+                "sram-sweep does not apply",
+            ),
+            (
+                "/analyze",
+                &[("policy", "both")][..],
+                "policy does not apply",
+            ),
+            (
+                "/analyze",
+                &[("machine", "IBM BG/Q")][..],
+                "machine does not apply",
+            ),
+            (
+                "/analyze",
+                &[("clusters", "3")][..],
+                "clusters needs hierarchical",
+            ),
+        ] {
+            let r = s.handle(&req("POST", path, query, "fft(n=8)"));
+            assert_eq!(r.status, 400, "{path} {query:?}: {}", r.body);
+            assert!(r.body.contains(named), "{path} {query:?}: {}", r.body);
+        }
+        let m = s.metrics_text();
+        assert!(m.contains("cache_hits 0"), "{m}");
+        assert!(m.contains("cache_misses 0"), "{m}");
     }
 
     #[test]

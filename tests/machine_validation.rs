@@ -4,6 +4,7 @@
 //! RBW upper bound — with byte-identical text and JSON reports at any
 //! thread count.
 
+use dmc::core::job::{catalog_machines, Job, JobReport};
 use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
 use dmc::kernels::catalog::Registry;
 use dmc::machine::specs::machine_catalog;
@@ -75,33 +76,27 @@ fn machine_sandwich_holds_across_registry_and_catalog() {
 }
 
 /// Text and JSON renders are pure functions of (kernel, machine, S1):
-/// byte-identical at 1, 2 and 4 analyzer threads.
+/// every registered kernel's `repro simulate --machine all` job, at the
+/// schedule's minimum feasible S1, is byte-identical at 1, 2 and 4
+/// threads.
 #[test]
 fn machine_reports_are_byte_identical_across_thread_counts() {
-    for (spec, s1) in [("fft(n=8)", 8u64), ("jacobi(n=8,d=1,t=8)", 8)] {
-        for machine in machine_catalog() {
-            let base = analyzer(1)
-                .validate_machine_spec(spec, &machine, s1, None)
-                .expect("valid spec");
-            let base_text = base.to_string();
-            let base_json = serde::json::to_string(&base);
-            for threads in [2usize, 4] {
-                let r = analyzer(threads)
-                    .validate_machine_spec(spec, &machine, s1, None)
-                    .expect("valid spec");
-                assert_eq!(
-                    r.to_string(),
-                    base_text,
-                    "{spec} on {} @ {threads} threads (text)",
-                    machine.name
-                );
-                assert_eq!(
-                    serde::json::to_string(&r),
-                    base_json,
-                    "{spec} on {} @ {threads} threads (json)",
-                    machine.name
-                );
-            }
+    let registry = Registry::shared();
+    let machines = catalog_machines("all").expect("the catalog");
+    for name in registry.names() {
+        let spec = registry.defaults(name).expect("registered kernel");
+        let s1 = min_feasible_capacity(&spec.build()) as u64;
+        let job = Job::machine(vec![spec], machines.clone(), Some(s1), None).expect("valid job");
+        let render = |threads| match job.run(threads) {
+            JobReport::Machine(rs) => (
+                rs.iter().map(|r| r.to_string()).collect::<String>(),
+                JobReport::Machine(rs).to_json_line(),
+            ),
+            _ => unreachable!("a machine job reports machine runs"),
+        };
+        let base = render(1);
+        for threads in [2usize, 4] {
+            assert_eq!(render(threads), base, "{name} @ {threads} threads");
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Acceptance tests for the empirical validation subsystem: measured I/O
 //! from the cache simulator sandwiched between certified bounds for the
-//! catalog kernels, thread-count-invariant byte-identical reports, and a
-//! registry-wide property test of the sandwich invariant.
+//! catalog kernels, reports byte-identical at any thread count for every
+//! registered kernel, and a registry-wide property test of the sandwich
+//! invariant.
 
 use dmc::cdag::topo::topological_order;
+use dmc::core::job::{Job, JobReport};
 use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
 use dmc::kernels::catalog::Registry;
 use dmc::sim::simulation::{CachePolicy, Simulation};
@@ -46,22 +48,22 @@ fn sandwich_holds_for_four_kernels_on_three_point_sweeps() {
     }
 }
 
+/// Every registered kernel's default `repro simulate` job (the 3-point
+/// sweep from the schedule's minimum feasible S) renders byte-identical
+/// text and JSON at 1, 2 and 4 threads.
 #[test]
 fn validation_reports_are_byte_identical_at_any_thread_count() {
-    for (spec, srams) in CASES {
-        let base = analyzer(1).validate_spec(spec, &srams, None).expect(spec);
-        let base_text = base.to_string();
-        let base_json = serde::json::to_string(&base);
+    let registry = Registry::shared();
+    for name in registry.names() {
+        let spec = registry.defaults(name).expect("registered");
+        let job = Job::sweep(spec, None, None).expect("default sweep");
+        let render = |threads| match job.run(threads) {
+            JobReport::Sweep(r) => (r.to_string(), JobReport::Sweep(r).to_json_line()),
+            _ => unreachable!("a sweep job reports a sweep"),
+        };
+        let base = render(1);
         for threads in [2usize, 4] {
-            let r = analyzer(threads)
-                .validate_spec(spec, &srams, None)
-                .expect(spec);
-            assert_eq!(r.to_string(), base_text, "{spec} @ {threads} threads");
-            assert_eq!(
-                serde::json::to_string(&r),
-                base_json,
-                "{spec} @ {threads} threads"
-            );
+            assert_eq!(render(threads), base, "{name} @ {threads} threads");
         }
     }
 }
@@ -113,7 +115,7 @@ proptest! {
             let g = spec.build();
             let smin = dmc::sim::simulation::min_feasible_capacity(&g) as u64;
             let s = smin + extra;
-            let r = analyzer(1).validate_kernel(&spec, &[s], None);
+            let r = analyzer(1).validate_built(&spec, &g, &[s], None);
             let p = &r.points[0];
             prop_assert!(p.infeasible.is_none(), "{} S={} infeasible", name, s);
             prop_assert_eq!(p.sandwich_ok(), Some(true), "{} S={}: {:?}", name, s, p);
