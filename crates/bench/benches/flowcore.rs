@@ -1,10 +1,8 @@
-//! Flow-core microbenchmarks: the three generations of the per-anchor
-//! wavefront solver, side by side on the same anchor sweeps.
+//! Flow-core microbenchmarks: the per-anchor wavefront solver fresh and
+//! warm-started, side by side on the same anchor sweeps.
 //!
-//! * `dinic_general` — the original hot path: per anchor, fresh DFS
-//!   reachability, fresh split network, general path-at-a-time Dinic.
-//! * `fresh_unit` — same fresh-per-anchor shape, but the Even–Tarjan
-//!   phase-saturating unit-capacity solver.
+//! * `fresh` — per anchor, fresh DFS reachability and a fresh split
+//!   network, solved by the phase-saturating `FlowNetwork::max_flow`.
 //! * `warm_batched` — the current engine inner loop: one word-parallel
 //!   `BatchReach` sweep per 64 anchors plus a single warm-started
 //!   `WarmCut` network patched between consecutive anchors.
@@ -27,12 +25,11 @@ const INF: u32 = u32::MAX / 4;
 
 /// Builds the vertex-split wavefront network for one anchor into `net`
 /// (sources cuttable, sinks not) and returns the max flow — the historical
-/// fresh-per-anchor solve, with the solver strategy chosen by `unit`.
-fn fresh_cut(g: &Cdag, sources: &BitSet, sinks: &BitSet, net: &mut FlowNetwork, unit: bool) -> u64 {
+/// fresh-per-anchor solve.
+fn fresh_cut(g: &Cdag, sources: &BitSet, sinks: &BitSet, net: &mut FlowNetwork) -> u64 {
     let n = g.num_vertices();
     let (s, t) = (2 * n, 2 * n + 1);
     net.reset(2 * n + 2);
-    net.set_unit_capacity(unit);
     for v in 0..n {
         net.add_arc(2 * v, 2 * v + 1, if sinks.contains(v) { INF } else { 1 });
     }
@@ -50,7 +47,7 @@ fn fresh_cut(g: &Cdag, sources: &BitSet, sinks: &BitSet, net: &mut FlowNetwork, 
 
 /// Sweeps every vertex as an anchor with fresh per-anchor reachability and
 /// a fresh split network; returns the max cut (the Lemma-2 `w^max`).
-fn sweep_fresh(g: &Cdag, order: &[VertexId], unit: bool) -> u64 {
+fn sweep_fresh(g: &Cdag, order: &[VertexId]) -> u64 {
     let n = g.num_vertices();
     let mut net = FlowNetwork::new(0);
     let mut sources = BitSet::new(n);
@@ -64,7 +61,7 @@ fn sweep_fresh(g: &Cdag, order: &[VertexId], unit: bool) -> u64 {
         if sinks.is_empty() {
             continue;
         }
-        best = best.max(fresh_cut(g, &sources, &sinks, &mut net, unit));
+        best = best.max(fresh_cut(g, &sources, &sinks, &mut net));
     }
     best
 }
@@ -117,15 +114,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("flowcore");
     for (name, g) in &families {
         let order = topological_order(g);
-        // The three sweeps must agree before we time them.
-        let want = sweep_fresh(g, &order, false);
-        assert_eq!(want, sweep_fresh(g, &order, true), "{name}: unit diverged");
+        // The two sweeps must agree before we time them.
+        let want = sweep_fresh(g, &order);
         assert_eq!(want, sweep_warm_batched(g, &order), "{name}: warm diverged");
-        group.bench_function(format!("dinic_general/{name}"), |b| {
-            b.iter(|| sweep_fresh(g, &order, false))
-        });
-        group.bench_function(format!("fresh_unit/{name}"), |b| {
-            b.iter(|| sweep_fresh(g, &order, true))
+        group.bench_function(format!("fresh/{name}"), |b| {
+            b.iter(|| sweep_fresh(g, &order))
         });
         group.bench_function(format!("warm_batched/{name}"), |b| {
             b.iter(|| sweep_warm_batched(g, &order))

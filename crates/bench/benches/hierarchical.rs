@@ -1,14 +1,15 @@
-//! E16 — flat vs hierarchical pipeline crossover.
+//! E16 — flat vs hierarchical pipeline.
 //!
 //! Benchmarks [`Analyzer::analyze`] (full flat portfolio, dominated by
-//! the adaptive wavefront engine) against the hierarchical mode's
-//! partition → per-cluster portfolio → Theorem-2 composition machinery
-//! (size gates forced to 0 so neither the whole-graph wavefront nor the
-//! flat comparison run — the configuration the 10⁷-vertex scale curve
-//! actually uses). On sparse random layered DAGs the flat cost explodes
-//! super-linearly with width while the composition stays linear, so the
-//! crossover is visible already around a thousand vertices. The full
-//! scale curve to 10⁷+ vertices lives in `repro scale` — criterion
+//! the adaptive wavefront engine) against
+//! [`Analyzer::analyze_hierarchical`] on sparse random layered DAGs. Up
+//! to 2¹⁷ vertices the hierarchical path runs the flat pipeline's own
+//! whole-graph wavefront member, so each pair times the interval
+//! clustering and its one counting pass on top of that engine run.
+//! Above 2¹⁷ vertices the hierarchical path is composition-only (Kahn
+//! order, components, one coarsening pass) — the configuration the
+//! 10⁷-vertex scale curve uses — and only it is timed there. The full
+//! scale curve to 10⁷+ vertices lives in `repro scale`; criterion
 //! iteration counts make those sizes impractical here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -16,36 +17,40 @@ use dmc_core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
 use dmc_kernels::random::{random_layered, RandomDagConfig};
 use std::time::Duration;
 
+fn random_dag(layers: usize, width: usize) -> dmc_cdag::Cdag {
+    random_layered(RandomDagConfig {
+        layers,
+        width,
+        deg: 3,
+        edge_prob: 0.0,
+        seed: 7,
+    })
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("hierarchical");
-    for (layers, width) in [(8usize, 64usize), (8, 128), (16, 128)] {
-        let g = random_layered(RandomDagConfig {
-            layers,
-            width,
-            deg: 3,
-            edge_prob: 0.0,
-            seed: 7,
+    let opts = HierarchicalOptions::default();
+    let small = [(8usize, 64usize), (8, 128), (16, 128)].map(|(l, w)| random_dag(l, w));
+    let large = random_dag(16, 16384);
+    for t in [1usize, 4] {
+        let analyzer = Analyzer::new(AnalyzerConfig {
+            sram: 4,
+            threads: t,
+            ..AnalyzerConfig::default()
         });
-        let n = g.num_vertices();
-        // The scale-mode configuration: Theorem-2 composition only.
-        let opts = HierarchicalOptions {
-            whole_wavefront_limit: 0,
-            flat_compare_limit: 0,
-            ..HierarchicalOptions::default()
-        };
-        for t in [1usize, 4] {
-            let analyzer = Analyzer::new(AnalyzerConfig {
-                sram: 4,
-                threads: t,
-                ..AnalyzerConfig::default()
-            });
+        for g in &small {
+            let n = g.num_vertices();
             group.bench_function(format!("flat_t{t}/{n}v"), |b| {
-                b.iter(|| analyzer.analyze(&g).bound.value)
+                b.iter(|| analyzer.analyze(g).bound.value)
             });
             group.bench_function(format!("hier_t{t}/{n}v"), |b| {
-                b.iter(|| analyzer.analyze_hierarchical(&g, &opts).bound.value)
+                b.iter(|| analyzer.analyze_hierarchical(g, &opts).bound.value)
             });
         }
+        let n = large.num_vertices();
+        group.bench_function(format!("hier_t{t}/{n}v"), |b| {
+            b.iter(|| analyzer.analyze_hierarchical(&large, &opts).bound.value)
+        });
     }
     group.finish();
 }

@@ -28,7 +28,7 @@
 //! `--kernel` spec (e.g. `jacobi(n=8,d=2,t=4)` — see `repro list` for the
 //! catalog) it reports the full provenance tree (`--format json` for
 //! machine-readable output). `--hierarchical` switches that report to
-//! the partition → per-cluster portfolio → Theorem-2 composition
+//! the partition → per-cluster trivial bound → Theorem-2 composition
 //! pipeline (`--clusters K` pins the cluster count), `--max-vertices N`
 //! raises or lowers the catalog's build-admission limit, and `scale`
 //! runs the E16 curve of sparse random DAGs from 2^20 past 10^7

@@ -28,7 +28,9 @@
 //! argument does not transfer. The hierarchical pipeline therefore uses
 //! the coarse graph for *structure* (cluster diagnostics, provenance)
 //! and derives its certified bound from Theorem 2 over the cluster
-//! partition instead — see `pipeline::hierarchical` in `dmc-core`.
+//! partition instead, summing each cluster's trivial bound from the
+//! [`ClusterInfo`] tag counts — see `Analyzer::analyze_hierarchical` in
+//! `dmc-core`.
 
 use crate::builder::CdagBuilder;
 use crate::graph::{Cdag, VertexId};
@@ -104,6 +106,11 @@ pub struct ClusterInfo {
     pub inputs: usize,
     /// Tagged outputs of the original graph inside the cluster.
     pub outputs: usize,
+    /// Tagged outputs inside the cluster that are not also tagged
+    /// inputs (`|O_c \ I_c|`): with [`inputs`](ClusterInfo::inputs),
+    /// the counts behind the trivial bound of the cluster's induced
+    /// sub-CDAG, which inherits the original graph's tags.
+    pub pure_outputs: usize,
     /// Lowest original vertex id in the cluster (a stable handle for
     /// locating the cluster in the original graph).
     pub first_vertex: VertexId,
@@ -182,6 +189,7 @@ pub fn coarsen(
             out_boundary: 0,
             inputs: 0,
             outputs: 0,
+            pure_outputs: 0,
             first_vertex: VertexId(0),
         };
         num_clusters
@@ -200,11 +208,15 @@ pub fn coarsen(
             info.first_vertex = v;
         }
         info.vertices += 1;
-        if g.is_input(v) {
+        let input = g.is_input(v);
+        if input {
             info.inputs += 1;
         }
         if g.is_output(v) {
             info.outputs += 1;
+            if !input {
+                info.pure_outputs += 1;
+            }
         }
         if g.predecessors(v).iter().any(|p| assignment[p.index()] != c) {
             info.in_boundary += 1;
@@ -286,6 +298,8 @@ mod tests {
         assert_eq!(coarse.clusters[0].in_boundary, 0);
         assert_eq!(coarse.clusters[1].in_boundary, 1);
         assert_eq!(coarse.clusters[1].first_vertex, VertexId(3));
+        assert_eq!(coarse.clusters[0].inputs, 1);
+        assert_eq!(coarse.clusters[1].pure_outputs, 1);
         // Input/output tags lift to the super-vertices.
         assert!(coarse.graph.is_input(VertexId(0)));
         assert!(coarse.graph.is_output(VertexId(1)));
@@ -298,6 +312,25 @@ mod tests {
         let coarse = coarsen(&g, &[0, 1, 1, 1], 2).unwrap();
         assert!(coarse.graph.is_input(VertexId(0)));
         assert!(!coarse.graph.is_input(VertexId(1)));
+    }
+
+    #[test]
+    fn pure_outputs_exclude_tagged_inputs() {
+        // An input that is also an output counts as an input only.
+        let mut b = CdagBuilder::new();
+        let a = b.add_input("a");
+        let c = b.add_input("c");
+        let x = b.add_op("x", &[a]);
+        b.tag_output(c);
+        b.tag_output(x);
+        let g = b.build().unwrap();
+        let coarse = coarsen(&g, &[0, 0, 1], 2).unwrap();
+        assert_eq!(
+            (coarse.clusters[0].inputs, coarse.clusters[0].outputs),
+            (2, 1)
+        );
+        assert_eq!(coarse.clusters[0].pure_outputs, 0);
+        assert_eq!(coarse.clusters[1].pure_outputs, 1);
     }
 
     #[test]

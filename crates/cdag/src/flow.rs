@@ -20,7 +20,8 @@ use crate::graph::{Cdag, VertexId};
 /// bottleneck of a simple-path decomposition, small enough not to overflow).
 const INF: u32 = u32::MAX / 4;
 
-/// A directed flow network with residual arcs, solved by Dinic's algorithm.
+/// A directed flow network with residual arcs, solved by Dinic's algorithm
+/// with a phase-saturating blocking flow (see [`FlowNetwork::max_flow`]).
 ///
 /// Arcs are stored in pairs: arc `2k` is the forward arc and `2k+1` its
 /// residual twin, so the reverse of arc `a` is `a ^ 1`.
@@ -54,10 +55,6 @@ pub struct FlowNetwork {
     queue: Vec<u32>,
     /// Arc stack of the current augmenting path (Dinic scratch).
     path: Vec<u32>,
-    /// When `true`, [`FlowNetwork::max_flow`] uses the Even–Tarjan-style
-    /// phase-saturating solver specialized for unit-capacity networks (every
-    /// finite arc has capacity 1); see [`FlowNetwork::set_unit_capacity`].
-    unit_capacity: bool,
 }
 
 impl FlowNetwork {
@@ -75,7 +72,6 @@ impl FlowNetwork {
             it: Vec::new(),
             queue: Vec::new(),
             path: Vec::new(),
-            unit_capacity: false,
         }
     }
 
@@ -87,19 +83,6 @@ impl FlowNetwork {
         self.to.clear();
         self.cap.clear();
         self.csr_valid = false;
-        self.unit_capacity = false;
-    }
-
-    /// Selects the max-flow strategy. With `true`, [`FlowNetwork::max_flow`]
-    /// runs an Even–Tarjan-style solver that saturates each blocking flow in
-    /// one continuous DFS, retiring arcs as they are used — `O(E·√V)` total
-    /// on unit-capacity networks (where every *finite* arc has capacity 1,
-    /// as in the vertex-split wavefront network). The solver is correct for
-    /// arbitrary capacities, but the general path-at-a-time Dinic (the
-    /// default, `false`) is kept for networks that are not effectively
-    /// unit-capacity, such as the Hong–Kung dominator variant.
-    pub fn set_unit_capacity(&mut self, on: bool) {
-        self.unit_capacity = on;
     }
 
     /// Number of nodes.
@@ -154,6 +137,12 @@ impl FlowNetwork {
     /// Computes the maximum `s → t` flow (Dinic's algorithm). Capacities are
     /// consumed in place; [`FlowNetwork::reset`] before reusing the arena
     /// for another flow problem.
+    ///
+    /// Each phase saturates its level graph in one continuous DFS
+    /// (Even–Tarjan style), retiring arcs as they are used. That is correct
+    /// for arbitrary capacities and `O(E·√V)` in total on unit-capacity
+    /// networks — every *finite* arc of the vertex-split wavefront network
+    /// has capacity 1.
     pub fn max_flow(&mut self, s: usize, t: usize) -> u64 {
         assert_ne!(s, t, "source and sink must differ");
         if !self.csr_valid {
@@ -194,20 +183,7 @@ impl FlowNetwork {
                 break;
             }
             it.fill(0);
-            if self.unit_capacity {
-                // Phase-saturating blocking flow: one continuous DFS per
-                // phase, arcs retired as they saturate.
-                flow += self.blocking_flow_unit(s, t, &level, &mut it);
-            } else {
-                // Blocking flow via path-at-a-time iterative DFS.
-                loop {
-                    let pushed = self.dfs_push(s, t, u32::MAX, &level, &mut it);
-                    if pushed == 0 {
-                        break;
-                    }
-                    flow += pushed as u64;
-                }
-            }
+            flow += self.blocking_flow(s, t, &level, &mut it);
         }
         self.level = level;
         self.it = it;
@@ -216,14 +192,14 @@ impl FlowNetwork {
     }
 
     /// Saturates the current level graph in a single continuous DFS
-    /// (Even–Tarjan unit-capacity style): after each augmentation the search
-    /// backs up only to the tail of the shallowest saturated arc instead of
+    /// (Even–Tarjan style): after each augmentation the search backs up
+    /// only to the tail of the shallowest saturated arc instead of
     /// restarting from `s`, and current-arc iterators retire every arc the
     /// moment it is exhausted. On unit-capacity networks every finite-cap
     /// augmentation removes its whole path from the level graph, giving the
     /// `O(E)` -per-phase / `O(E·√V)` total bound. Returns the flow pushed in
     /// this phase.
-    fn blocking_flow_unit(&mut self, s: usize, t: usize, level: &[u32], it: &mut [u32]) -> u64 {
+    fn blocking_flow(&mut self, s: usize, t: usize, level: &[u32], it: &mut [u32]) -> u64 {
         let mut path = std::mem::take(&mut self.path);
         path.clear();
         let mut flow = 0u64;
@@ -271,55 +247,6 @@ impl FlowNetwork {
                 // dmc-lint: allow(s1) -- retreat only runs while the DFS path is non-empty (u != s above); an empty pop is unreachable
                 let a = path.pop().expect("retreat with non-empty path");
                 let parent = self.to[(a ^ 1) as usize] as usize;
-                it[parent] += 1;
-                u = parent;
-            }
-        }
-    }
-
-    /// Sends up to `limit` units along one augmenting path in the level
-    /// graph; returns the amount actually pushed (0 if no path remains).
-    fn dfs_push(&mut self, s: usize, t: usize, limit: u32, level: &[u32], it: &mut [u32]) -> u32 {
-        // Iterative DFS with explicit path stack (graphs can be deep).
-        let mut path = std::mem::take(&mut self.path); // arcs on the current path
-        path.clear();
-        let mut u = s;
-        loop {
-            if u == t {
-                // Bottleneck along the path.
-                let mut push = limit;
-                for &a in &path {
-                    push = push.min(self.cap[a as usize]);
-                }
-                for &a in &path {
-                    self.cap[a as usize] -= push;
-                    self.cap[(a ^ 1) as usize] += push;
-                }
-                self.path = path;
-                return push;
-            }
-            let mut advanced = false;
-            while (it[u] as usize) < self.arcs_of(u).len() {
-                let a = self.arcs_of(u)[it[u] as usize];
-                let v = self.to[a as usize] as usize;
-                if self.cap[a as usize] > 0 && level[v] == level[u] + 1 {
-                    path.push(a);
-                    u = v;
-                    advanced = true;
-                    break;
-                }
-                it[u] += 1;
-            }
-            if !advanced {
-                // Dead end: retreat.
-                if u == s {
-                    self.path = path;
-                    return 0;
-                }
-                // dmc-lint: allow(s1) -- retreat only runs while the DFS path is non-empty (loop guard above); an empty pop is unreachable
-                let a = path.pop().expect("retreat with non-empty path");
-                let parent = self.to[(a ^ 1) as usize] as usize;
-                // Exhausted this arc from the parent: advance its iterator.
                 it[parent] += 1;
                 u = parent;
             }
@@ -439,10 +366,6 @@ pub fn vertex_min_cut_into(
     // Node layout: v_in = 2v, v_out = 2v + 1, super-source = 2n, sink = 2n+1.
     let (s, t) = (2 * n, 2 * n + 1);
     net.reset(2 * n + 2);
-    // Every finite arc below has capacity 1, so the Even–Tarjan solver
-    // applies; the Hong–Kung dominator variant (both sides cuttable) keeps
-    // the general path-at-a-time Dinic.
-    net.set_unit_capacity(!(opts.sources_cuttable && opts.sinks_cuttable));
     for v in 0..n {
         let is_src = sources.contains(v);
         let is_snk = sinks.contains(v);
@@ -574,7 +497,6 @@ impl WarmCut {
             net.add_arc(2 * v + 1, t, 0);
         }
         net.build_csr();
-        net.set_unit_capacity(true);
         WarmCut {
             net,
             n,
@@ -1067,15 +989,16 @@ mod tests {
         assert!(is_separating_vertex_set(&g, &s, &t, &cut.vertices));
     }
 
-    /// A max-flow case: node count, arc list, source, sink.
-    type FlowCase = (usize, Vec<(usize, usize, u32)>, usize, usize);
+    /// A max-flow case: node count, arc list, source, sink, known value.
+    type FlowCase = (usize, Vec<(usize, usize, u32)>, usize, usize, u64);
 
     #[test]
-    fn unit_solver_matches_general_on_small_nets() {
-        // Same arc lists solved by both strategies must agree on the value.
+    fn max_flow_matches_known_values_on_small_nets() {
+        // Hand-solved networks, non-unit and infinite capacities included;
+        // each is solved twice on one arena to pin `reset` too.
         let cases: Vec<FlowCase> = vec![
-            (4, vec![(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], 0, 3),
-            (4, vec![(0, 1, 3), (1, 2, 2), (2, 3, 5)], 0, 3),
+            (4, vec![(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], 0, 3, 2),
+            (4, vec![(0, 1, 3), (1, 2, 2), (2, 3, 5)], 0, 3, 2),
             (
                 6,
                 vec![
@@ -1089,17 +1012,46 @@ mod tests {
                 ],
                 0,
                 5,
+                2,
+            ),
+            // CLRS Figure 26.1: maximum flow 23, one augmenting path
+            // needing a residual reroute.
+            (
+                6,
+                vec![
+                    (0, 1, 16),
+                    (0, 2, 13),
+                    (2, 1, 4),
+                    (1, 3, 12),
+                    (3, 2, 9),
+                    (2, 4, 14),
+                    (4, 3, 7),
+                    (3, 5, 20),
+                    (4, 5, 4),
+                ],
+                0,
+                5,
+                23,
+            ),
+            // Two infinite paths: the sum exceeds `INF`, which callers
+            // read as "no finite cut".
+            (
+                3,
+                vec![(0, 1, INF), (1, 2, INF), (0, 2, INF)],
+                0,
+                2,
+                2 * INF as u64,
             ),
         ];
-        for (n, arcs, s, t) in cases {
-            let mut general = FlowNetwork::new(n);
-            let mut unit = FlowNetwork::new(n);
-            unit.set_unit_capacity(true);
-            for &(u, v, c) in &arcs {
-                general.add_arc(u, v, c);
-                unit.add_arc(u, v, c);
+        let mut net = FlowNetwork::new(0);
+        for (n, arcs, s, t, want) in cases {
+            for _ in 0..2 {
+                net.reset(n);
+                for &(u, v, c) in &arcs {
+                    net.add_arc(u, v, c);
+                }
+                assert_eq!(net.max_flow(s, t), want, "{arcs:?}");
             }
-            assert_eq!(general.max_flow(s, t), unit.max_flow(s, t), "{arcs:?}");
         }
     }
 

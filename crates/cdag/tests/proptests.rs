@@ -72,7 +72,7 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Cdag> {
 /// Strategy: a random *layered* DAG — `layers × width` vertices, edges only
 /// between adjacent layers, each kept independently. This is the shape the
 /// flow core is tuned for (wavefronts sweep layer by layer), so it is where
-/// the unit-capacity solver and the warm-started network earn their keep.
+/// the phase-saturating solver and the warm-started network earn their keep.
 fn arb_layered_dag(max_layers: usize, max_width: usize) -> impl Strategy<Value = Cdag> {
     (2..max_layers, 1..max_width)
         .prop_flat_map(|(layers, width)| {
@@ -116,19 +116,11 @@ fn arb_layered_dag(max_layers: usize, max_width: usize) -> impl Strategy<Value =
 const INF: u32 = u32::MAX / 4;
 
 /// Builds the vertex-split wavefront network for one source/sink pair into
-/// `net` (sources cuttable, sinks not) and returns the max flow, solved by
-/// the strategy selected by `unit`.
-fn split_network_flow(
-    g: &Cdag,
-    sources: &BitSet,
-    sinks: &BitSet,
-    net: &mut FlowNetwork,
-    unit: bool,
-) -> u64 {
+/// `net` (sources cuttable, sinks not) and returns its max flow.
+fn split_network_flow(g: &Cdag, sources: &BitSet, sinks: &BitSet, net: &mut FlowNetwork) -> u64 {
     let n = g.num_vertices();
     let (s, t) = (2 * n, 2 * n + 1);
     net.reset(2 * n + 2);
-    net.set_unit_capacity(unit);
     for v in 0..n {
         net.add_arc(2 * v, 2 * v + 1, if sinks.contains(v) { INF } else { 1 });
     }
@@ -142,6 +134,28 @@ fn split_network_flow(
         net.add_arc(2 * v + 1, t, INF);
     }
     net.max_flow(s, t)
+}
+
+/// The size of the smallest subset of `cuttable` that separates `sources`
+/// from `sinks`, by exhaustive search (at most 16 cuttable vertices).
+fn bruteforce_min_cut(g: &Cdag, sources: &BitSet, sinks: &BitSet, cuttable: &[usize]) -> usize {
+    assert!(cuttable.len() <= 16, "brute force needs a small graph");
+    let mut best = usize::MAX;
+    for mask in 0u32..(1 << cuttable.len()) {
+        if mask.count_ones() as usize >= best {
+            continue;
+        }
+        let subset: Vec<VertexId> = cuttable
+            .iter()
+            .enumerate()
+            .filter(|(b, _)| mask & (1 << b) != 0)
+            .map(|(_, &v)| VertexId(v as u32))
+            .collect();
+        if is_separating_vertex_set(g, sources, sinks, &subset) {
+            best = subset.len();
+        }
+    }
+    best
 }
 
 proptest! {
@@ -201,24 +215,22 @@ proptest! {
         let sinks: BitSet = g.outputs().clone();
         prop_assume!(!sources.is_empty() && !sinks.is_empty());
         prop_assume!(sources.is_disjoint(&sinks));
-        let opts = VertexCutOptions { sources_cuttable: true, sinks_cuttable: false };
-        if let Some(cut) = vertex_min_cut(&g, &sources, &sinks, opts) {
-            prop_assert!(is_separating_vertex_set(&g, &sources, &sinks, &cut.vertices));
-            prop_assert_eq!(cut.size, cut.vertices.len());
-            // Brute force over all subsets of cuttable vertices (n <= 10).
-            let cuttable: Vec<usize> = (0..n).filter(|&v| !sinks.contains(v)).collect();
-            let mut best = usize::MAX;
-            for mask in 0u32..(1 << cuttable.len().min(16)) {
-                let subset: Vec<VertexId> = cuttable.iter().enumerate()
-                    .filter(|(b, _)| mask & (1 << b) != 0)
-                    .map(|(_, &v)| VertexId(v as u32))
-                    .collect();
-                if subset.len() >= best { continue; }
-                if is_separating_vertex_set(&g, &sources, &sinks, &subset) {
-                    best = subset.len();
-                }
+        // The wavefront shape (sinks uncuttable) and the Hong–Kung
+        // dominator shape (both sides cuttable).
+        for sinks_cuttable in [false, true] {
+            let opts = VertexCutOptions { sources_cuttable: true, sinks_cuttable };
+            if let Some(cut) = vertex_min_cut(&g, &sources, &sinks, opts) {
+                prop_assert!(is_separating_vertex_set(&g, &sources, &sinks, &cut.vertices));
+                prop_assert_eq!(cut.size, cut.vertices.len());
+                // Brute force over all subsets of cuttable vertices (n <= 10).
+                let cuttable: Vec<usize> =
+                    (0..n).filter(|&v| sinks_cuttable || !sinks.contains(v)).collect();
+                prop_assert_eq!(
+                    cut.size,
+                    bruteforce_min_cut(&g, &sources, &sinks, &cuttable),
+                    "flow cut must be minimum (sinks cuttable: {})", sinks_cuttable
+                );
             }
-            prop_assert_eq!(cut.size, best, "flow cut must be minimum");
         }
     }
 
@@ -254,11 +266,10 @@ proptest! {
         }
     }
 
-    /// The Even–Tarjan phase-saturating unit-capacity solver and the
-    /// general path-at-a-time Dinic compute the same max flow on every
-    /// wavefront split network (same graph, same source/sink pair).
+    /// The max flow of every anchor's wavefront split network equals the
+    /// minimum separating set found by brute force (at most 12 vertices).
     #[test]
-    fn unit_capacity_solver_matches_general_dinic(g in arb_layered_dag(6, 5)) {
+    fn wavefront_max_flow_equals_bruteforce_min_cut(g in arb_layered_dag(5, 4)) {
         let n = g.num_vertices();
         let mut net = FlowNetwork::new(0);
         let mut sources = BitSet::new(n);
@@ -271,9 +282,10 @@ proptest! {
             if sinks.is_empty() {
                 continue;
             }
-            let general = split_network_flow(&g, &sources, &sinks, &mut net, false);
-            let unit = split_network_flow(&g, &sources, &sinks, &mut net, true);
-            prop_assert_eq!(general, unit, "anchor {}", x);
+            let flow = split_network_flow(&g, &sources, &sinks, &mut net);
+            let cuttable: Vec<usize> = (0..n).filter(|&v| !sinks.contains(v)).collect();
+            let want = bruteforce_min_cut(&g, &sources, &sinks, &cuttable);
+            prop_assert_eq!(flow, want as u64, "anchor {}", x);
         }
     }
 

@@ -134,14 +134,17 @@ impl IoBound {
     pub fn trivial(g: &dmc_cdag::Cdag) -> Self {
         let mut pure_outputs = g.outputs().clone();
         pure_outputs.difference_with(g.inputs());
+        IoBound::trivial_counts(g.num_inputs(), pure_outputs.len())
+    }
+
+    /// [`IoBound::trivial`] of a CDAG with `inputs` tagged inputs and
+    /// `pure_outputs` tagged outputs that are not inputs (`|O \ I|`), for
+    /// callers that hold the counts but not the graph.
+    pub fn trivial_counts(inputs: usize, pure_outputs: usize) -> Self {
         IoBound::new(
-            (g.num_inputs() + pure_outputs.len()) as f64,
+            (inputs + pure_outputs) as f64,
             Method::Trivial,
-            format!(
-                "|I| + |O \\ I| = {} + {}",
-                g.num_inputs(),
-                pure_outputs.len()
-            ),
+            format!("|I| + |O \\ I| = {inputs} + {pure_outputs}"),
         )
     }
 

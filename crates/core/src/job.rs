@@ -190,10 +190,7 @@ impl Job {
         Ok(Job(Kind::Analyze {
             input,
             sram: capacity(sram, DEFAULT_SRAM, "must be >= 1")?,
-            hierarchical: hierarchical.map(|clusters| HierarchicalOptions {
-                clusters,
-                ..HierarchicalOptions::default()
-            }),
+            hierarchical: hierarchical.map(|clusters| HierarchicalOptions { clusters }),
         }))
     }
 

@@ -7,11 +7,12 @@
 //! across the node's cores with
 //! [`split_round_robin`]
 //! (round-robin over Kahn wavefronts, barrier semantics), and the split
-//! schedule is measured at every cache boundary of the hierarchy exactly
-//! as [`HierarchySimulation`](dmc_sim::HierarchySimulation) does — one
-//! [`Simulation`](dmc_sim::Simulation) per boundary at its
-//! [`effective_capacities`] entry, fanned out over worker threads with an
-//! index-ordered merge so reports stay bit-identical at any thread count.
+//! schedule is measured at every cache boundary of the hierarchy — one
+//! [`Simulation`](dmc_sim::Simulation) run per boundary at its
+//! [`effective_capacities`] entry (LRU and OPT are stack algorithms, so
+//! that is the traffic crossing the boundary), fanned out over worker
+//! threads with an index-ordered merge so reports stay bit-identical at
+//! any thread count.
 //!
 //! Every level row is still a certified sandwich:
 //!
@@ -505,7 +506,7 @@ impl Analyzer {
 mod tests {
     use super::*;
     use dmc_machine::specs;
-    use dmc_sim::hierarchy_sim::HierarchySimulation;
+    use dmc_sim::Simulation;
 
     fn analyzer(threads: usize) -> Analyzer {
         Analyzer::new(AnalyzerConfig {
@@ -530,33 +531,35 @@ mod tests {
 
     #[test]
     fn measured_levels_match_hierarchy_simulation() {
-        // The report's per-level measurement and the HierarchySimulation
-        // engine must be the same numbers — the report is just the
-        // engine's decomposition fanned out over workers.
+        // The report's per-level measurement, fanned out over workers, is
+        // a direct `Simulation::run` of the split schedule at every
+        // boundary's effective capacity, level by level.
         let spec = Registry::shared().parse("fft(n=8)").expect("valid");
         let g = spec.build();
         let m = specs::ibm_bgq();
         let s1 = 8;
-        let r = analyzer(1).validate_machine_built(&spec, &g, &m, s1, None);
         let split = split_round_robin(&g, m.cores_per_node);
-        let mut hier = HierarchySimulation::new();
-        let ht = hier
-            .run(
-                &g,
-                &split.order,
-                CachePolicy::Lru,
-                &m.node_hierarchy(s1),
-                Inclusion::Inclusive,
-            )
-            .expect("feasible");
-        for (p, lt) in r.levels.iter().zip(&ht.levels) {
-            assert_eq!(
-                p.measured_lru.as_ref(),
-                Some(&lt.trace),
-                "level {}",
-                p.level
-            );
-            assert_eq!(p.effective_words, lt.effective_words);
+        let caps = effective_capacities(&m.node_hierarchy(s1), Inclusion::Inclusive);
+        let mut sim = Simulation::new();
+        for threads in [1, 2] {
+            let r = analyzer(threads).validate_machine_built(&spec, &g, &m, s1, None);
+            assert_eq!(r.levels.len(), caps.len());
+            for (p, (name, c)) in r.levels.iter().zip(&caps) {
+                let mut direct = |policy| sim.run(&g, &split.order, policy, *c).ok();
+                assert_eq!(
+                    p.measured_lru,
+                    direct(CachePolicy::Lru),
+                    "level {}",
+                    p.level
+                );
+                assert_eq!(
+                    p.measured_opt,
+                    direct(CachePolicy::Opt),
+                    "level {}",
+                    p.level
+                );
+                assert_eq!((&p.name, p.effective_words), (name, *c));
+            }
         }
     }
 

@@ -33,14 +33,14 @@
 //! [`Analyzer::analyze_hierarchical`] is the pipeline's scale path for
 //! CDAGs too large to sweep with whole-graph wavefronts (10⁷–10⁸
 //! vertices): it splits the Kahn order into `K` contiguous interval
-//! clusters ([`topological_clusters`]), runs the method portfolio on
-//! every cluster (fanned out over the same deterministic
-//! [`fan_out_indexed`] workers), composes the per-cluster winners with
-//! Theorem 2 — sound for *any* total disjoint vertex partition, crossing
-//! edges included — and contracts the clustering into an annotated
-//! super-vertex DAG ([`mod@dmc_cdag::coarsen`]) reported as a structural
-//! diagnostic. See [`HierarchicalOptions`] for the size gates that keep
-//! every stage linear-time at scale.
+//! clusters ([`topological_clusters`]), contracts the clustering into an
+//! annotated super-vertex DAG ([`mod@dmc_cdag::coarsen`], reported as a
+//! structural diagnostic) in one linear pass that also counts each
+//! cluster's tagged inputs and outputs, and composes the per-cluster
+//! trivial bounds built from those counts with Theorem 2 — sound for
+//! *any* total disjoint vertex partition, crossing edges included. Up to
+//! 2¹⁷ vertices the flat pipeline's whole-graph wavefront member is
+//! folded in as well; beyond that every stage is linear-time.
 //!
 //! [`WavefrontEngine`]: dmc_cdag::engine::WavefrontEngine
 //! [`decomposition_sum`]: crate::bounds::decompose::decomposition_sum
@@ -50,9 +50,8 @@ use crate::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transf
 use crate::bounds::mincut::{wavefront_bound_above, AnchorStrategy};
 use crate::bounds::{best_lower_bound, lemma1_lower_bound, IoBound, Method};
 use crate::partition::construct::{greedy_partition, topological_clusters};
-use dmc_cdag::coarsen::{coarsen, ClusterInfo, CoarseDag};
+use dmc_cdag::coarsen::coarsen;
 use dmc_cdag::components::weakly_connected_components;
-use dmc_cdag::engine::WavefrontEngine;
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::subgraph::{self, InducedSubCdag};
 use dmc_cdag::topo::topological_order;
@@ -158,57 +157,16 @@ impl Serialize for KernelReport {
     }
 }
 
-/// Options of [`Analyzer::analyze_hierarchical`]: the cluster count and
-/// the size gates that keep the hierarchical pipeline linear-time at
-/// 10⁷–10⁸ vertices.
-#[derive(Debug, Clone)]
+/// Options of [`Analyzer::analyze_hierarchical`].
+#[derive(Debug, Clone, Default)]
 pub struct HierarchicalOptions {
     /// Number of interval clusters (`None` = auto:
     /// `⌈|V| / 2¹⁶⌉` clamped to `2..=1024`). Clamped to `1..=|V|`.
     pub clusters: Option<usize>,
-    /// Largest cluster (in vertices) on which the per-cluster portfolio
-    /// runs its *wavefront* member. Per-cluster wavefronts are sound
-    /// (Theorem 2 composes lower bounds of induced sub-CDAGs of any
-    /// total disjoint partition) and can legitimately certify **more**
-    /// than the flat pipeline — each cluster independently forces its
-    /// own traffic — but that makes flat-vs-hierarchical comparisons a
-    /// judgment call rather than an invariant. The default is therefore
-    /// `0` (off): each cluster's bound is then its trivial bound, and
-    /// those sum to exactly the whole-graph trivial bound, so the default
-    /// hierarchical bound is dominated by the flat bound by construction.
-    /// Raise the limit to opt into the stronger composed bound.
-    pub cluster_wavefront_limit: usize,
-    /// Largest original graph (in vertices) on which the sound
-    /// whole-graph wavefront pass (Lemma 2 + Theorem 3, identical to
-    /// the flat pipeline's wavefront member) still runs and is folded
-    /// into the certified bound. Beyond it the bound degrades gracefully
-    /// to the Theorem-2 composition.
-    pub whole_wavefront_limit: usize,
-    /// Largest original graph (in vertices) for which the *flat*
-    /// pipeline is also run and recorded in the report for comparison.
-    /// The comparison is diagnostic, not part of the certified bound,
-    /// so the limit tracks where flat analysis stays in single-digit
-    /// seconds: with the warm-started unit-capacity flow core this is
-    /// ~16k vertices across the catalog families (3–8 s measured on
-    /// deep 1-d stencils, wide 2-d stencils, matmul, and FFT), where
-    /// the old per-anchor Dinic path needed minutes already at a few
-    /// thousand.
-    pub flat_compare_limit: usize,
-}
-
-impl Default for HierarchicalOptions {
-    fn default() -> Self {
-        HierarchicalOptions {
-            clusters: None,
-            cluster_wavefront_limit: 0,
-            whole_wavefront_limit: 1 << 17,
-            flat_compare_limit: 1 << 14,
-        }
-    }
 }
 
 /// Per-cluster slice of a [`HierarchyReport`]: the coarsening
-/// annotations plus the cluster's portfolio winner.
+/// annotations plus the cluster's bound.
 #[derive(Debug, Clone)]
 pub struct ClusterSummary {
     /// Cluster index (= super-vertex id, = interval position in the
@@ -224,8 +182,8 @@ pub struct ClusterSummary {
     pub in_boundary: usize,
     /// Cluster vertices with a successor outside the cluster.
     pub out_boundary: usize,
-    /// The strongest portfolio bound for the induced sub-CDAG
-    /// (first-wins tie-break, same as the flat pipeline).
+    /// The trivial bound of the cluster's induced sub-CDAG (which keeps
+    /// the original graph's tags), from the coarsening's tag counts.
     pub best: IoBound,
 }
 
@@ -259,9 +217,6 @@ pub struct CoarseSummary {
     pub edges: usize,
     /// Original edges crossing clusters (before deduplication).
     pub cut_edges: usize,
-    /// `max_x |W^min(x)|` over the coarse DAG (`None` for degenerate
-    /// coarse graphs with no interior anchor).
-    pub w_max: Option<usize>,
 }
 
 impl Serialize for CoarseSummary {
@@ -270,7 +225,6 @@ impl Serialize for CoarseSummary {
             ("clusters", self.clusters.to_json()),
             ("edges", self.edges.to_json()),
             ("cut_edges", self.cut_edges.to_json()),
-            ("w_max", self.w_max.to_json()),
             (
                 "note",
                 "structural diagnostic, never folded into the certified bound".to_json(),
@@ -279,51 +233,25 @@ impl Serialize for CoarseSummary {
     }
 }
 
-/// The flat pipeline's answer on the same graph, recorded for
-/// comparison when the graph is small enough to afford both runs.
-#[derive(Debug, Clone)]
-pub struct FlatComparison {
-    /// The flat pipeline's final certified bound.
-    pub bound: f64,
-    /// The method behind it (display name).
-    pub method: String,
-}
-
-impl Serialize for FlatComparison {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("bound", self.bound.to_json()),
-            ("method", self.method.to_json()),
-        ])
-    }
-}
-
 /// The hierarchy level of an [`AnalysisReport`] produced by
 /// [`Analyzer::analyze_hierarchical`]: cluster count, per-cluster
-/// winners, the Theorem-2 composition, the optional whole-graph
-/// wavefront, the coarse-DAG diagnostics, and the flat-vs-hierarchical
-/// comparison.
+/// bounds, the Theorem-2 composition, the optional whole-graph
+/// wavefront and the coarse-DAG diagnostics.
 #[derive(Debug, Clone)]
 pub struct HierarchyReport {
     /// The requested (or auto-chosen) cluster count before clamping.
     pub cluster_target: usize,
     /// The actual cluster count (`min(target, |V|)`).
     pub cluster_count: usize,
-    /// The per-cluster wavefront gate the run used (see
-    /// [`HierarchicalOptions::cluster_wavefront_limit`]).
-    pub cluster_wavefront_limit: usize,
-    /// Per-cluster annotations and winners, in cluster order.
+    /// Per-cluster annotations and bounds, in cluster order.
     pub clusters: Vec<ClusterSummary>,
-    /// The Theorem-2 composition of the per-cluster winners.
+    /// The Theorem-2 composition of the per-cluster bounds.
     pub composed: IoBound,
-    /// The sound whole-graph wavefront pass (`None` when gated off by
-    /// [`HierarchicalOptions::whole_wavefront_limit`]).
+    /// The sound whole-graph wavefront pass (`None` above 2¹⁷
+    /// vertices).
     pub whole_wavefront: Option<IoBound>,
     /// Structural summary of the contracted super-vertex DAG.
     pub coarse: CoarseSummary,
-    /// The flat pipeline's bound on the same graph (`None` when gated
-    /// off by size).
-    pub flat: Option<FlatComparison>,
 }
 
 impl Serialize for HierarchyReport {
@@ -331,15 +259,10 @@ impl Serialize for HierarchyReport {
         Value::object([
             ("cluster_target", self.cluster_target.to_json()),
             ("cluster_count", self.cluster_count.to_json()),
-            (
-                "cluster_wavefront_limit",
-                self.cluster_wavefront_limit.to_json(),
-            ),
             ("clusters", self.clusters.to_json()),
             ("composed", self.composed.to_json()),
             ("whole_wavefront", self.whole_wavefront.to_json()),
             ("coarse", self.coarse.to_json()),
-            ("flat", self.flat.to_json()),
         ])
     }
 }
@@ -462,27 +385,11 @@ impl std::fmt::Display for AnalysisReport {
                 writeln!(f, "  whole-graph wavefront (Lemma 2 + Theorem 3):")?;
                 write!(f, "{}", indent(&wf.to_string(), 2))?;
             }
-            let w_max = h
-                .coarse
-                .w_max
-                .map(|w| format!(", coarse w^max = {w}"))
-                .unwrap_or_default();
             writeln!(
                 f,
-                "  coarse super-DAG: {} super-vertices, {} edges, {} cut edges{} — structural diagnostic, never folded into the bound",
-                h.coarse.clusters, h.coarse.edges, h.coarse.cut_edges, w_max
+                "  coarse super-DAG: {} super-vertices, {} edges, {} cut edges — structural diagnostic, never folded into the bound",
+                h.coarse.clusters, h.coarse.edges, h.coarse.cut_edges
             )?;
-            match &h.flat {
-                Some(flat) => writeln!(
-                    f,
-                    "  flat-pipeline comparison: flat >= {} via {}",
-                    flat.bound, flat.method
-                )?,
-                None => writeln!(
-                    f,
-                    "  flat-pipeline comparison: skipped (|V| above the comparison limit)"
-                )?,
-            }
         }
         writeln!(f, "\nfinal certified lower bound: >= {}", self.bound.value)?;
         if let Some(k) = &self.kernel {
@@ -683,40 +590,38 @@ impl Analyzer {
     }
 
     /// Runs the **hierarchical** pipeline on `g`: interval-cluster the
-    /// Kahn order, run the method portfolio on every cluster, compose
-    /// the winners with Theorem 2, optionally fold in the sound
-    /// whole-graph wavefront pass, and contract the clustering into an
-    /// annotated super-vertex DAG reported as a structural diagnostic.
+    /// Kahn order, contract the clustering into an annotated super-vertex
+    /// DAG (a structural diagnostic), bound every cluster by its trivial
+    /// bound, compose those with Theorem 2, and fold in the sound
+    /// whole-graph wavefront pass on graphs of at most 2¹⁷ vertices.
     ///
     /// Soundness: the clusters are a *total* disjoint partition of `V`
     /// (inputs included), and for any such partition an optimal RBW game
     /// on `g`, restricted to the moves touching one cluster, is a valid
     /// complete game on the induced sub-CDAG — so the per-cluster I/O
     /// counts partition the whole game's I/O and Theorem 2's sum is a
-    /// certified lower bound, crossing edges notwithstanding. The
-    /// whole-graph wavefront pass is the flat pipeline's own Lemma-2 +
-    /// Theorem-3 member, gated by size. Nothing derived from the coarse
+    /// certified lower bound, crossing edges notwithstanding. Each
+    /// cluster's bound is [`IoBound::trivial`] of its induced sub-CDAG,
+    /// built from the tag counts [`coarsen`] takes without building the
+    /// sub-CDAG. The whole-graph wavefront pass is the flat pipeline's own
+    /// Lemma-2 + Theorem-3 member. Nothing derived from the coarse
     /// super-DAG is ever folded into the bound (see
     /// [`mod@dmc_cdag::coarsen`] for why that would be unsound).
     ///
-    /// With the default [`HierarchicalOptions`] the result is dominated
-    /// by the flat pipeline's bound wherever both run; see
-    /// [`HierarchicalOptions::cluster_wavefront_limit`] for the
-    /// stronger opt-in composition.
+    /// The per-cluster trivial bounds sum to the whole-graph trivial
+    /// bound, so the result is dominated by the flat pipeline's bound.
     ///
     /// ```
     /// use dmc_core::pipeline::{Analyzer, HierarchicalOptions};
     ///
     /// let g = dmc_kernels::matmul::matmul(6);
-    /// let opts = HierarchicalOptions {
-    ///     clusters: Some(4),
-    ///     ..HierarchicalOptions::default()
-    /// };
-    /// let report = Analyzer::with_defaults().analyze_hierarchical(&g, &opts);
+    /// let opts = HierarchicalOptions { clusters: Some(4) };
+    /// let analyzer = Analyzer::with_defaults();
+    /// let report = analyzer.analyze_hierarchical(&g, &opts);
     /// let h = report.hierarchy.as_ref().expect("hierarchical report");
     /// assert_eq!(h.cluster_count, 4);
-    /// // Default options: dominated by (here equal to) the flat bound.
-    /// assert!(report.bound.value <= h.flat.as_ref().unwrap().bound);
+    /// // Dominated by (here equal to) the flat bound.
+    /// assert!(report.bound.value <= analyzer.analyze(&g).bound.value);
     /// ```
     pub fn analyze_hierarchical(&self, g: &Cdag, opts: &HierarchicalOptions) -> AnalysisReport {
         let n = g.num_vertices();
@@ -736,34 +641,29 @@ impl Analyzer {
         let coarse = coarsen(g, &assignment, cluster_count)
             // dmc-lint: allow(s1) -- contiguous intervals of a topological order always contract to a DAG
             .expect("topological interval clustering yields an acyclic quotient");
-        let pieces = subgraph::decompose(g, &assignment, cluster_count);
-
-        let total = self.resolved_threads(usize::MAX);
-        let workers = total.clamp(1, pieces.len());
-        let engine_threads = (total / pieces.len().max(1)).max(1);
-        let clusters: Vec<ClusterSummary> = fan_out_indexed(
-            pieces.len(),
-            workers,
-            || (),
-            |_, i| self.cluster_summary(i, &pieces[i], &coarse.clusters[i], engine_threads, opts),
-        );
+        let clusters: Vec<ClusterSummary> = coarse
+            .clusters
+            .iter()
+            .enumerate()
+            .map(|(index, info)| ClusterSummary {
+                index,
+                first_vertex: info.first_vertex,
+                vertices: info.vertices,
+                internal_edges: info.internal_edges,
+                in_boundary: info.in_boundary,
+                out_boundary: info.out_boundary,
+                best: IoBound::trivial_counts(info.inputs, info.pure_outputs),
+            })
+            .collect();
         let composed =
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
-        let whole_wavefront =
-            (n <= opts.whole_wavefront_limit).then(|| self.wavefront_bound(g, total, None));
+        let whole_wavefront = (n <= WHOLE_WAVEFRONT_LIMIT)
+            .then(|| self.wavefront_bound(g, self.resolved_threads(usize::MAX), None));
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
         // dmc-lint: allow(s1) -- the composed bound is always present
         .expect("the Theorem-2 composition always exists");
-        let coarse_summary = self.coarse_summary(&coarse, total);
-        let flat = (n <= opts.flat_compare_limit).then(|| {
-            let r = self.analyze(g);
-            FlatComparison {
-                bound: r.bound.value,
-                method: r.bound.method.to_string(),
-            }
-        });
         let balance = self.balance_verdicts(g, bound.value);
 
         AnalysisReport {
@@ -783,12 +683,14 @@ impl Analyzer {
             hierarchy: Some(HierarchyReport {
                 cluster_target: target,
                 cluster_count,
-                cluster_wavefront_limit: opts.cluster_wavefront_limit,
                 clusters,
                 composed,
                 whole_wavefront,
-                coarse: coarse_summary,
-                flat,
+                coarse: CoarseSummary {
+                    clusters: coarse.graph.num_vertices(),
+                    edges: coarse.graph.num_edges(),
+                    cut_edges: coarse.cut_edges,
+                },
             }),
         }
     }
@@ -837,53 +739,6 @@ impl Analyzer {
             .iter()
             .map(|m| analyze(&profile, m))
             .collect()
-    }
-
-    /// Portfolio-plus-annotations for one cluster: the trivial bound, plus
-    /// an unfloored wavefront member when the cluster is within
-    /// [`HierarchicalOptions::cluster_wavefront_limit`].
-    fn cluster_summary(
-        &self,
-        index: usize,
-        piece: &InducedSubCdag,
-        info: &ClusterInfo,
-        engine_threads: usize,
-        opts: &HierarchicalOptions,
-    ) -> ClusterSummary {
-        let g = &piece.cdag;
-        let wavefront = (g.num_vertices() <= opts.cluster_wavefront_limit)
-            .then(|| self.wavefront_bound(g, engine_threads, None));
-        let best = best_lower_bound(std::iter::once(IoBound::trivial(g)).chain(wavefront))
-            // dmc-lint: allow(s1) -- the trivial bound is always a candidate
-            .expect("cluster portfolio is non-empty");
-        ClusterSummary {
-            index,
-            first_vertex: info.first_vertex,
-            vertices: info.vertices,
-            internal_edges: info.internal_edges,
-            in_boundary: info.in_boundary,
-            out_boundary: info.out_boundary,
-            best,
-        }
-    }
-
-    /// Sweeps the coarse super-DAG for its `w^max` diagnostic (all
-    /// anchors for small coarse graphs, per-level sampling beyond
-    /// [`COARSE_SWEEP_LIMIT`]).
-    fn coarse_summary(&self, coarse: &CoarseDag, threads: usize) -> CoarseSummary {
-        let cg = &coarse.graph;
-        let engine = WavefrontEngine::new(cg).with_threads(threads);
-        let anchors: Vec<VertexId> = if cg.num_vertices() <= COARSE_SWEEP_LIMIT {
-            cg.vertices().collect()
-        } else {
-            engine.per_level_anchors()
-        };
-        CoarseSummary {
-            clusters: cg.num_vertices(),
-            edges: cg.num_edges(),
-            cut_edges: coarse.cut_edges,
-            w_max: engine.run(&anchors).best.map(|b| b.size),
-        }
     }
 
     /// Fans per-component analyses out over scoped workers
@@ -985,13 +840,14 @@ const GREEDY_DIAGNOSTIC_LIMIT: usize = 2048;
 /// `2..=`[`MAX_AUTO_CLUSTERS`].
 const DEFAULT_CLUSTER_SIZE: usize = 1 << 16;
 
-/// Upper clamp of the auto-chosen cluster count (bounds the per-cluster
-/// bitset memory of [`subgraph::decompose`] at 10⁸ vertices).
+/// Upper clamp of the auto-chosen cluster count (bounds the report's
+/// per-cluster list at 10⁸ vertices).
 const MAX_AUTO_CLUSTERS: usize = 1024;
 
-/// Largest coarse super-DAG swept with *every* vertex as a wavefront
-/// anchor; beyond it the diagnostic falls back to per-level sampling.
-const COARSE_SWEEP_LIMIT: usize = 2048;
+/// Largest graph (in vertices) on which the hierarchical pipeline also
+/// runs the flat pipeline's whole-graph wavefront member and folds it
+/// into the certified bound.
+const WHOLE_WAVEFRONT_LIMIT: usize = 1 << 17;
 
 /// Lemma 1 through a *counting relaxation* of the minimum 2S-partition
 /// block count, decorated with a greedy 2S-partition diagnostic.
@@ -1176,8 +1032,7 @@ mod tests {
 
     #[test]
     fn hierarchical_default_is_dominated_by_flat() {
-        // With the default options (per-cluster wavefronts off) the
-        // hierarchical bound never exceeds the flat pipeline's bound:
+        // The hierarchical bound never exceeds the flat pipeline's bound:
         // per-cluster trivial bounds sum to the whole-graph trivial
         // bound and the whole-graph wavefront member is shared.
         for (g, s) in [
@@ -1187,10 +1042,7 @@ mod tests {
             (chains::independent_chains(3, 5), 2),
         ] {
             let a = analyzer(s, 2);
-            let opts = HierarchicalOptions {
-                clusters: Some(3),
-                ..HierarchicalOptions::default()
-            };
+            let opts = HierarchicalOptions { clusters: Some(3) };
             let hier = a.analyze_hierarchical(&g, &opts);
             let flat = a.analyze(&g);
             assert!(
@@ -1200,20 +1052,42 @@ mod tests {
                 flat.bound.value,
                 g.num_vertices()
             );
-            // The report records the same comparison.
-            let h = hier.hierarchy.as_ref().expect("hierarchy level");
-            let recorded = h.flat.as_ref().expect("small graph runs the comparison");
-            assert_eq!(recorded.bound, flat.bound.value);
+        }
+    }
+
+    #[test]
+    fn cluster_bounds_equal_the_trivial_bounds_of_the_induced_pieces() {
+        // The reference is the induced sub-CDAG the counts stand for:
+        // each cluster's bound is `IoBound::trivial` of its piece, value
+        // and note, and the composition is the whole-graph trivial bound.
+        let registry = Registry::shared();
+        for name in registry.names() {
+            let spec = registry.defaults(name).expect("registered kernel");
+            let g = spec.build();
+            let n = g.num_vertices();
+            let order = topological_order(&g);
+            for k in [1, 3, 7, n] {
+                let r = analyzer(4, 1)
+                    .analyze_hierarchical(&g, &HierarchicalOptions { clusters: Some(k) });
+                let h = r.hierarchy.as_ref().expect("hierarchy level");
+                let assignment = topological_clusters(&g, &order, k);
+                let pieces = subgraph::decompose(&g, &assignment, h.cluster_count);
+                assert_eq!(h.clusters.len(), pieces.len(), "{name} K={k}");
+                for (c, piece) in h.clusters.iter().zip(&pieces) {
+                    let want = IoBound::trivial(&piece.cdag);
+                    assert_eq!(c.best.value, want.value, "{name} K={k} cluster {}", c.index);
+                    assert_eq!(c.best.to_string(), want.to_string(), "{name} K={k}");
+                    assert_eq!(c.first_vertex, piece.parent_of(VertexId(0)), "{name} K={k}");
+                }
+                assert_eq!(h.composed.value, IoBound::trivial(&g).value, "{name} K={k}");
+            }
         }
     }
 
     #[test]
     fn hierarchical_clusters_cover_every_vertex() {
         let g = dmc_kernels::matmul::matmul(4);
-        let opts = HierarchicalOptions {
-            clusters: Some(5),
-            ..HierarchicalOptions::default()
-        };
+        let opts = HierarchicalOptions { clusters: Some(5) };
         let r = analyzer(4, 1).analyze_hierarchical(&g, &opts);
         let h = r.hierarchy.as_ref().expect("hierarchy level");
         assert_eq!(h.cluster_count, 5);
@@ -1229,12 +1103,7 @@ mod tests {
     #[test]
     fn hierarchical_report_is_bit_identical_across_thread_counts() {
         let g = dmc_kernels::matmul::matmul(5);
-        let opts = HierarchicalOptions {
-            clusters: Some(4),
-            // Exercise the per-cluster wavefront path too.
-            cluster_wavefront_limit: usize::MAX,
-            ..HierarchicalOptions::default()
-        };
+        let opts = HierarchicalOptions { clusters: Some(4) };
         let base = analyzer(4, 1).analyze_hierarchical(&g, &opts);
         for threads in [2usize, 4] {
             let r = analyzer(4, threads).analyze_hierarchical(&g, &opts);
@@ -1248,15 +1117,11 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_cluster_wavefronts_are_sound() {
-        // Opt-in per-cluster wavefronts can exceed the flat bound but
-        // must stay below the exact optimum (Theorem 2 soundness).
+    fn hierarchical_bound_is_below_the_optimum() {
+        // Theorem 2 soundness of the composed bound, whole-graph
+        // wavefront folded in, against the exact optimum.
         let g = chains::ladder(3, 4);
-        let opts = HierarchicalOptions {
-            clusters: Some(2),
-            cluster_wavefront_limit: usize::MAX,
-            ..HierarchicalOptions::default()
-        };
+        let opts = HierarchicalOptions { clusters: Some(2) };
         let r = analyzer(3, 1).analyze_hierarchical(&g, &opts);
         let opt = optimal_io(&g, 3, GameKind::Rbw).expect("small instance");
         assert!(
@@ -1268,10 +1133,7 @@ mod tests {
 
     #[test]
     fn hierarchical_text_and_json_carry_the_hierarchy_level() {
-        let opts = HierarchicalOptions {
-            clusters: Some(3),
-            ..HierarchicalOptions::default()
-        };
+        let opts = HierarchicalOptions { clusters: Some(3) };
         let spec = Registry::shared().parse("matmul(n=4)").expect("valid spec");
         let r = analyzer(4, 1).analyze_kernel_hierarchical(&spec, &opts);
         assert!(r.kernel.is_some(), "kernel context attached");
@@ -1282,16 +1144,18 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("coarse super-DAG:"), "{text}");
-        assert!(
-            text.contains("flat-pipeline comparison: flat >= "),
-            "{text}"
-        );
+        // The flat re-run and the coarse-DAG engine sweep are gone.
+        assert!(!text.contains("flat-pipeline comparison"), "{text}");
+        assert!(!text.contains("coarse w^max"), "{text}");
         let json = serde::json::to_string(&r);
         assert!(
-            json.contains(r#""hierarchy":{"cluster_target":3"#),
+            json.contains(r#""hierarchy":{"cluster_target":3,"cluster_count":3,"clusters":["#),
             "{json}"
         );
         assert!(json.contains(r#""coarse":{"clusters":3"#), "{json}");
+        for removed in [r#""cluster_wavefront_limit""#, r#""flat""#, r#""w_max""#] {
+            assert!(!json.contains(removed), "{removed} in {json}");
+        }
         // Flat reports serialize the level as null.
         let flat = analyzer(4, 1).analyze_spec("matmul(n=4)").expect("valid");
         assert!(serde::json::to_string(&flat).contains(r#""hierarchy":null"#));
@@ -1309,7 +1173,6 @@ mod tests {
         let tiny = chains::independent_chains(1, 3);
         let opts = HierarchicalOptions {
             clusters: Some(100),
-            ..HierarchicalOptions::default()
         };
         let r = analyzer(2, 1).analyze_hierarchical(&tiny, &opts);
         let h = r.hierarchy.as_ref().expect("hierarchy level");

@@ -108,10 +108,9 @@ impl MachineSpec {
     }
 
     /// The degenerate *one-cache-level* hierarchy of this spec: a single
-    /// fast memory of `s` words over the node's DRAM. Running the
-    /// hierarchy simulator on it must reproduce the single-cache
-    /// `Simulation::run` trace exactly — the differential oracle the
-    /// test suite pins.
+    /// fast memory of `s` words over the node's DRAM. Its one boundary
+    /// is simulated at `s` itself, so measuring it level by level is the
+    /// single-cache `Simulation::run` — the case the test suite pins.
     pub fn single_level_hierarchy(&self, s: u64) -> MemoryHierarchy {
         MemoryHierarchy::new(vec![
             crate::hierarchy::Level::new("cache", 1, s.max(1)),

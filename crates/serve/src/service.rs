@@ -1,7 +1,8 @@
 //! Request routing and admission in front of the shared job path.
 //!
 //! `POST /analyze` and `POST /simulate` parse their query parameters,
-//! reject every one the job does not take ([`JobKind::takes`]), admit the
+//! reject any name outside [`JobOption::ALL`] and `threads` and every
+//! option the job does not take ([`JobKind::takes`]), admit the
 //! body (a catalog spec under `--max-vertices`, or `.cdag` text) and
 //! build a [`Job`], which checks every value — all before anything is
 //! built or cached. On a miss the cache runs the admitted job and stores
@@ -195,6 +196,19 @@ impl Service {
     /// One analysis endpoint through the cache: build the job and its
     /// key, then `get_or_compute` with the panic-contained job run.
     fn cached(&self, req: &Request) -> Reply {
+        // A misspelled option must not silently yield another report.
+        let known =
+            |name: &str| name == "threads" || JobOption::ALL.iter().any(|o| o.name() == name);
+        if let Some((name, _)) = req.query.iter().find(|(name, _)| !known(name)) {
+            let accepted: Vec<&str> = JobOption::ALL.iter().map(|o| o.name()).collect();
+            return Reply::plain(
+                400,
+                format!(
+                    "unknown query parameter {name:?}; accepted: {}, threads\n",
+                    accepted.join(", ")
+                ),
+            );
+        }
         let threads = match req.query_param("threads") {
             Some(v) => match v.parse() {
                 Ok(t) => t,
@@ -433,9 +447,10 @@ fn index_page() -> String {
      \x20                  --kernel <spec> --format json`\n\
      POST /shutdown  drain in-flight requests and exit\n\
      \n\
-     Results are cached by canonical content (spec render / graph hash);\n\
-     identical requests are answered from the cache, concurrent duplicates\n\
-     share one in-flight analysis.\n"
+     A query parameter a job does not take, or one not listed here, is a\n\
+     400 naming it. Results are cached by canonical content (spec render /\n\
+     graph hash); identical requests are answered from the cache, concurrent\n\
+     duplicates share one in-flight analysis.\n"
         .to_string()
 }
 
@@ -661,6 +676,41 @@ mod tests {
         let m = s.metrics_text();
         assert!(m.contains("cache_hits 0"), "{m}");
         assert!(m.contains("cache_misses 0"), "{m}");
+    }
+
+    #[test]
+    fn unknown_query_parameters_are_400s_before_the_cache() {
+        let s = service();
+        let r = s.handle(&req(
+            "POST",
+            "/simulate",
+            &[("sram_sweep", "8:4:1")],
+            "fft(n=8)",
+        ));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("\"sram_sweep\""), "{}", r.body);
+        assert!(r.body.contains("sram-sweep"), "{}", r.body);
+        assert!(r.body.contains("threads"), "{}", r.body);
+        let r = s.handle(&req(
+            "POST",
+            "/analyze",
+            &[("sram", "8"), ("verbose", "1")],
+            "fft(n=8)",
+        ));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("\"verbose\""), "{}", r.body);
+        let m = s.metrics_text();
+        assert!(m.contains("analyses_performed 0"), "{m}");
+        assert!(m.contains("cache_misses 0"), "{m}");
+        assert!(m.contains("cache_entries 0"), "{m}");
+        // Every accepted name still gets through to the job.
+        let ok = s.handle(&req(
+            "POST",
+            "/analyze",
+            &[("sram", "8"), ("threads", "1")],
+            "fft(n=8)",
+        ));
+        assert_eq!(ok.status, 200, "{}", ok.body);
     }
 
     #[test]

@@ -1,40 +1,34 @@
 //! Machine-hierarchy simulation — the P-RBW machine model of Section 5.
 //!
-//! The single-cache [`Simulation`] of the
+//! The single-cache [`Simulation`](crate::Simulation) of the
 //! red-blue-white game measures traffic across *one* fast/slow boundary.
 //! Real machines (the paper's Table 1) are `(N_l, S_l)` *hierarchies*:
 //! `N_1` register files over a shared LLC over node DRAM. This module
-//! runs one schedule through every boundary of a
-//! [`MemoryHierarchy`] at once:
+//! supplies what it takes to measure one schedule at every boundary of a
+//! [`MemoryHierarchy`]:
 //!
 //! 1. [`effective_capacities`] converts the hierarchy into one aggregate
 //!    word capacity per *cache* level (the topmost level is the backing
 //!    store and is never simulated). Inclusive hierarchies use `N_l·S_l`
 //!    per level; exclusive hierarchies the cumulative sum `Σ_{k≤l}
 //!    N_k·S_k`, since a value evicted from a faster level may still live
-//!    in the slower one.
-//! 2. [`HierarchySimulation`] replays the schedule once per boundary
-//!    with a reset-and-reuse [`Simulation`] arena at that effective capacity. Both LRU and Belady's OPT are
-//!    *stack algorithms* (Mattson's inclusion property): the contents of
-//!    a cache of capacity `C` are a superset of any smaller cache on the
-//!    same reference stream, so the traffic that crosses boundary `l` of
-//!    an inclusive hierarchy is exactly the miss traffic of a standalone
-//!    cache of the level's aggregate capacity. Write-back accounting
-//!    falls out of the same identity: a dirty (unsaved live) value
-//!    evicted at level `l` is the `stores` column of that level's
-//!    [`Trace`] — the words written *into* level `l+1`.
-//! 3. [`split_round_robin`] adds the parallel dimension: a deterministic
+//!    in the slower one. Both LRU and Belady's OPT are *stack
+//!    algorithms* (Mattson's inclusion property): the contents of a cache
+//!    of capacity `C` are a superset of any smaller cache on the same
+//!    reference stream, so the traffic that crosses boundary `l` of an
+//!    inclusive hierarchy is exactly the miss traffic of a standalone
+//!    [`Simulation::run`](crate::Simulation::run) at the level's
+//!    effective capacity. Write-back accounting falls out of the same
+//!    identity: a dirty (unsaved live) value evicted at level `l` is the
+//!    `stores` column of that level's [`Trace`](crate::Trace) — the words
+//!    written *into* level `l+1`. `dmc-core`'s machine validation runs
+//!    that per-level loop.
+//! 2. [`split_round_robin`] adds the parallel dimension: a deterministic
 //!    P-processor schedule (round-robin over the Kahn wavefronts of the
 //!    DAG, barrier between wavefronts) whose cross-processor word count
 //!    ([`remote_reads`], defined for any owner map) is comparable
 //!    against the Lemma-2 parallel wavefront bound.
-//!
-//! The 1-level special case is pinned by a differential oracle test: a
-//! hierarchy built by
-//! [`MachineSpec::single_level_hierarchy`](dmc_machine::MachineSpec::single_level_hierarchy)
-//! must reproduce the single-cache `Simulation::run` trace *exactly*.
 
-use crate::simulation::{CachePolicy, SimError, Simulation, Trace};
 use dmc_cdag::topo::levels as kahn_levels;
 use dmc_cdag::{Cdag, VertexId};
 use dmc_machine::MemoryHierarchy;
@@ -95,155 +89,6 @@ pub fn effective_capacities(h: &MemoryHierarchy, inclusion: Inclusion) -> Vec<(S
     out
 }
 
-/// Traffic observed at one hierarchy boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelTrace {
-    /// 1-based level index (1 = fastest).
-    pub level: usize,
-    /// Level name from the [`MemoryHierarchy`].
-    pub name: String,
-    /// Units `N_l` at this level.
-    pub units: usize,
-    /// Per-unit capacity `S_l` in words.
-    pub capacity_words: u64,
-    /// Aggregate capacity the boundary was simulated at (see
-    /// [`effective_capacities`]).
-    pub effective_words: u64,
-    /// Traffic across the boundary between this level and level `l+1`:
-    /// `loads` are misses serviced from below, `stores` the write-back of
-    /// dirty victims into level `l+1`, `hits` and `evictions` the
-    /// internal bookkeeping of the level itself.
-    pub trace: Trace,
-}
-
-/// Per-boundary traffic of one schedule through a full hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyTrace {
-    /// One entry per cache boundary, fastest first.
-    pub levels: Vec<LevelTrace>,
-}
-
-impl HierarchyTrace {
-    /// Total words moved across every boundary — the hierarchy-wide cost
-    /// a multi-level roofline compares against.
-    pub fn total_io(&self) -> u64 {
-        self.levels.iter().map(|l| l.trace.io()).sum()
-    }
-
-    /// The trace at 1-based boundary `l`; panics if out of range like a
-    /// slice index would.
-    pub fn boundary(&self, l: usize) -> &LevelTrace {
-        &self.levels[l - 1]
-    }
-}
-
-/// A [`Simulation`] failure lifted to a hierarchy level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchySimError {
-    /// 1-based level whose simulation failed.
-    pub level: usize,
-    /// Name of that level.
-    pub name: String,
-    /// The underlying single-cache failure.
-    pub source: SimError,
-}
-
-impl std::fmt::Display for HierarchySimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hierarchy level {} ({}): {}",
-            self.level, self.name, self.source
-        )
-    }
-}
-
-impl std::error::Error for HierarchySimError {}
-
-/// Reset-and-reuse engine that measures a schedule's traffic at every
-/// boundary of a [`MemoryHierarchy`].
-///
-/// Holds one [`Simulation`] arena per boundary so repeated runs (sweeps,
-/// policy comparisons) reuse their allocations, mirroring the arena
-/// discipline of the single-cache engine.
-///
-/// ```
-/// use dmc_cdag::topo::topological_order;
-/// use dmc_kernels::chains::chain;
-/// use dmc_machine::MemoryHierarchy;
-/// use dmc_sim::hierarchy_sim::{HierarchySimulation, Inclusion};
-/// use dmc_sim::simulation::CachePolicy;
-///
-/// // A 10-vertex chain through 4 registers → 16-word LLC → DRAM: the
-/// // rolling value stays register-resident, so both boundaries see just
-/// // the compulsory input load and the final output store.
-/// let g = chain(10);
-/// let order = topological_order(&g);
-/// let h = MemoryHierarchy::cluster(1, 2, 2, 16, 1 << 30);
-/// let mut sim = HierarchySimulation::new();
-/// let ht = sim
-///     .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
-///     .unwrap();
-/// assert_eq!(ht.levels.len(), 2);
-/// for lt in &ht.levels {
-///     assert_eq!((lt.trace.loads, lt.trace.stores), (1, 1));
-/// }
-/// // Inclusive traffic is monotone: deeper boundaries see no more misses.
-/// assert!(ht.boundary(1).trace.loads >= ht.boundary(2).trace.loads);
-/// ```
-#[derive(Debug, Default)]
-pub struct HierarchySimulation {
-    arenas: Vec<Simulation>,
-}
-
-impl HierarchySimulation {
-    /// Creates an engine with no retained arenas.
-    pub fn new() -> Self {
-        HierarchySimulation::default()
-    }
-
-    /// Runs `schedule` on `g` through every cache boundary of `h`,
-    /// returning the per-boundary [`Trace`] vector (fastest first).
-    ///
-    /// Each boundary is simulated at its [`effective_capacities`] entry;
-    /// errors carry the failing level. A boundary whose effective
-    /// capacity is below the schedule's feasible minimum surfaces as
-    /// [`SimError::BudgetTooSmall`] at that level.
-    pub fn run(
-        &mut self,
-        g: &Cdag,
-        schedule: &[VertexId],
-        policy: CachePolicy,
-        h: &MemoryHierarchy,
-        inclusion: Inclusion,
-    ) -> Result<HierarchyTrace, HierarchySimError> {
-        let caps = effective_capacities(h, inclusion);
-        if self.arenas.len() < caps.len() {
-            self.arenas.resize_with(caps.len(), Simulation::new);
-        }
-        let mut out = Vec::with_capacity(caps.len());
-        for (i, (name, effective)) in caps.iter().enumerate() {
-            let level = i + 1;
-            let trace = self.arenas[i]
-                .run(g, schedule, policy, *effective)
-                .map_err(|source| HierarchySimError {
-                    level,
-                    name: name.clone(),
-                    source,
-                })?;
-            out.push(LevelTrace {
-                level,
-                name: name.clone(),
-                units: h.units(level),
-                capacity_words: h.capacity(level),
-                effective_words: *effective,
-                trace,
-            });
-        }
-        Ok(HierarchyTrace { levels: out })
-    }
-}
-
 /// A deterministic P-processor split of a DAG schedule.
 ///
 /// Built by [`split_round_robin`]: vertices are taken wavefront by
@@ -256,7 +101,7 @@ pub struct ParallelSplit {
     /// Number of processors the schedule was dealt across.
     pub procs: usize,
     /// The flattened level-order schedule — a valid topological order,
-    /// suitable for [`Simulation::run`].
+    /// suitable for [`Simulation::run`](crate::Simulation::run).
     pub order: Vec<VertexId>,
     /// `owner[v]` = processor `v` was dealt to. Inputs are dealt
     /// round-robin within their wavefront like every other vertex, and
@@ -355,6 +200,7 @@ pub fn remote_reads(g: &Cdag, owner: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::{CachePolicy, Simulation, Trace};
     use dmc_cdag::topo::{is_valid_topological_order, topological_order};
     use dmc_kernels::chains::chain;
     use dmc_kernels::grid::Stencil;
@@ -384,44 +230,35 @@ mod tests {
         jacobi_cdag(n, 1, t, Stencil::VonNeumann).cdag
     }
 
-    #[test]
-    fn single_level_hierarchy_matches_single_cache_sim() {
-        // The differential oracle in miniature (the registry-wide version
-        // lives in tests/hierarchy_sim.rs): boundary 1 of a 1-cache-level
-        // hierarchy is exactly the standalone simulation.
-        let g = jacobi_1d(16, 4);
-        let order = topological_order(&g);
-        let m = specs::ibm_bgq();
-        for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-            for s in [8u64, 16, 64] {
-                let h = m.single_level_hierarchy(s);
-                let mut hier = HierarchySimulation::new();
-                let ht = hier
-                    .run(&g, &order, policy, &h, Inclusion::Inclusive)
-                    .unwrap();
-                let mut flat = Simulation::new();
-                let t = flat.run(&g, &order, policy, s).unwrap();
-                assert_eq!(ht.levels.len(), 1);
-                assert_eq!(ht.boundary(1).trace, t, "policy {policy} s {s}");
-            }
-        }
+    /// The per-level measurement: one `Simulation::run` per cache
+    /// boundary at its effective capacity, on one reused arena.
+    fn per_level(
+        sim: &mut Simulation,
+        g: &Cdag,
+        order: &[VertexId],
+        policy: CachePolicy,
+        h: &MemoryHierarchy,
+    ) -> Vec<Trace> {
+        effective_capacities(h, Inclusion::Inclusive)
+            .iter()
+            .map(|(name, c)| {
+                sim.run(g, order, policy, *c)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+            })
+            .collect()
     }
 
     #[test]
-    fn budget_too_small_names_the_level() {
-        let g = jacobi_1d(16, 2);
-        let order = topological_order(&g);
-        // Registers of 1 word each can never hold a stencil point's
-        // operands; the error must blame level 1 by name.
-        let h = MemoryHierarchy::cluster(1, 1, 1, 1 << 20, 1 << 40);
-        let mut hier = HierarchySimulation::new();
-        let err = hier
-            .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
-            .unwrap_err();
-        assert_eq!(err.level, 1);
-        assert_eq!(err.name, "registers");
-        assert!(matches!(err.source, SimError::BudgetTooSmall { .. }));
-        assert!(err.to_string().contains("level 1 (registers)"));
+    fn single_level_hierarchy_matches_single_cache_sim() {
+        // A 1-cache-level hierarchy has one boundary, simulated at S
+        // itself: the per-level measurement is the standalone simulation.
+        let m = specs::ibm_bgq();
+        for s in [1u64, 8, 64, u64::MAX] {
+            let h = m.single_level_hierarchy(s);
+            for inclusion in [Inclusion::Inclusive, Inclusion::Exclusive] {
+                assert_eq!(effective_capacities(&h, inclusion), [("cache".into(), s)]);
+            }
+        }
     }
 
     #[test]
@@ -429,35 +266,40 @@ mod tests {
         let g = jacobi_1d(32, 8);
         let order = topological_order(&g);
         let h = MemoryHierarchy::cluster(1, 4, 8, 64, 1 << 40);
-        let mut hier = HierarchySimulation::new();
+        let mut sim = Simulation::new();
         for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-            let ht = hier
-                .run(&g, &order, policy, &h, Inclusion::Inclusive)
-                .unwrap();
-            for w in ht.levels.windows(2) {
+            let traces = per_level(&mut sim, &g, &order, policy, &h);
+            assert_eq!(traces.len(), 2);
+            for w in traces.windows(2) {
                 assert!(
-                    w[0].trace.loads >= w[1].trace.loads,
-                    "{policy}: loads not monotone: {:?}",
-                    ht.levels
+                    w[0].loads >= w[1].loads,
+                    "{policy}: loads not monotone: {traces:?}"
                 );
-                assert!(w[0].trace.io() >= w[1].trace.io());
+                assert!(w[0].io() >= w[1].io());
             }
         }
     }
 
     #[test]
     fn arenas_are_reused_across_runs() {
+        // One arena measuring every level, twice, matches a fresh arena
+        // per level: reset-and-reuse leaks no state between runs.
         let g = chain(12);
         let order = topological_order(&g);
         let h = MemoryHierarchy::cluster(1, 2, 2, 8, 1 << 30);
-        let mut hier = HierarchySimulation::new();
-        let a = hier
-            .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
-            .unwrap();
-        let b = hier
-            .run(&g, &order, CachePolicy::Lru, &h, Inclusion::Inclusive)
-            .unwrap();
-        assert_eq!(a, b, "reset-and-reuse must not leak state between runs");
+        let mut sim = Simulation::new();
+        let a = per_level(&mut sim, &g, &order, CachePolicy::Lru, &h);
+        let b = per_level(&mut sim, &g, &order, CachePolicy::Lru, &h);
+        let fresh: Vec<Trace> = effective_capacities(&h, Inclusion::Inclusive)
+            .iter()
+            .map(|(_, c)| {
+                Simulation::new()
+                    .run(&g, &order, CachePolicy::Lru, *c)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(a, b);
+        assert_eq!(a, fresh);
     }
 
     #[test]

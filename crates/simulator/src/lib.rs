@@ -21,8 +21,9 @@
 //!   the `(2S)^{1/d}` reuse the paper's Theorem 10 proves optimal, and the
 //!   block owner map of a Jacobi grid;
 //! * [`hierarchy_sim`] — the machine-hierarchy extension of
-//!   [`simulation`]: [`HierarchySimulation`] measures one schedule at
-//!   *every* boundary of a [`dmc_machine::MemoryHierarchy`],
+//!   [`simulation`]: [`hierarchy_sim::effective_capacities`] gives the
+//!   capacity at which [`Simulation::run`] measures each boundary of a
+//!   [`dmc_machine::MemoryHierarchy`],
 //!   [`hierarchy_sim::split_round_robin`] deals the schedule across P
 //!   processors with barrier semantics, and [`hierarchy_sim::remote_reads`]
 //!   counts the words any owner map sends across the network, for the
@@ -36,7 +37,5 @@ pub mod hierarchy_sim;
 pub mod schedule;
 pub mod simulation;
 
-pub use hierarchy_sim::{
-    HierarchySimError, HierarchySimulation, HierarchyTrace, Inclusion, LevelTrace, ParallelSplit,
-};
+pub use hierarchy_sim::{Inclusion, ParallelSplit};
 pub use simulation::{CachePolicy, SimError, Simulation, Trace};

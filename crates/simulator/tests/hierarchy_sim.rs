@@ -1,55 +1,64 @@
-//! The differential test wall around the hierarchy simulator.
+//! Machine-hierarchy properties of the one simulator: every cache
+//! boundary of a [`MemoryHierarchy`] is measured by [`Simulation::run`] at
+//! its [`effective_capacities`] entry (the per-level loop of `dmc-core`'s
+//! machine validation).
 //!
-//! * **Oracle**: a one-cache-level [`MemoryHierarchy`] built from any
-//!   [`MachineSpec`] must reproduce the single-cache [`Simulation::run`]
-//!   trace *exactly* — same loads, stores, hits, evictions — for every
-//!   registry kernel, at several sweep points, under both policies. The
-//!   hierarchy engine is per-level stack simulation, so this equality is
-//!   structural, and this wall keeps it that way.
+//! * **One level**: a one-cache-level hierarchy built from any
+//!   [`MachineSpec`](dmc_machine::MachineSpec) is simulated at `S`
+//!   itself, so its measurement is the single-cache simulation.
 //! * **Invariants** (property-based): inclusive traffic is monotone down
 //!   the hierarchy, growing a level's capacity never increases its LRU
-//!   miss count, and an effectively infinite top level degenerates to
-//!   compulsory misses only.
+//!   miss count, an effectively infinite top level degenerates to
+//!   compulsory misses only, and one arena reused across the levels
+//!   matches a fresh arena per level.
 //! * **Errors**: every [`HierarchyError`] variant is constructible and
 //!   its Display names the offending level.
 
+use dmc_cdag::graph::{Cdag, VertexId};
 use dmc_kernels::catalog::Registry;
 use dmc_kernels::random::{random_layered, RandomDagConfig};
 use dmc_machine::hierarchy::{HierarchyError, Level, MemoryHierarchy};
 use dmc_machine::specs::{ibm_bgq, machine_catalog};
-use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation};
-use dmc_sim::{HierarchySimulation, Inclusion};
+use dmc_sim::hierarchy_sim::effective_capacities;
+use dmc_sim::simulation::{min_feasible_capacity, CachePolicy, Simulation, Trace};
+use dmc_sim::Inclusion;
 use proptest::prelude::*;
 
-/// The differential oracle: for every registry kernel at its defaults,
-/// a single-cache-level hierarchy of capacity `S` reproduces the plain
-/// [`Simulation`] trace at `S` exactly, at three sweep points, under
-/// both eviction policies, for every catalog machine's memory size.
+/// One `Simulation::run` per cache boundary of `h` at its inclusive
+/// effective capacity, fastest first, on the reused arena `sim`.
+fn per_level(
+    sim: &mut Simulation,
+    g: &Cdag,
+    order: &[VertexId],
+    policy: CachePolicy,
+    h: &MemoryHierarchy,
+) -> Vec<Trace> {
+    effective_capacities(h, Inclusion::Inclusive)
+        .iter()
+        .map(|(name, c)| {
+            sim.run(g, order, policy, *c)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        })
+        .collect()
+}
+
+/// Every catalog machine's one-cache-level hierarchy of capacity `S` has
+/// one boundary, simulated at `S` under either inclusion, at the sweep
+/// points of every registry kernel.
 #[test]
 fn one_level_hierarchy_is_the_single_cache_simulation() {
     let registry = Registry::shared();
-    let mut sim = Simulation::new();
-    let mut hsim = HierarchySimulation::new();
     for machine in machine_catalog() {
         for name in registry.names() {
             let spec = registry.defaults(name).expect("registered kernel");
-            let g = spec.build();
-            let req = min_feasible_capacity(&g) as u64;
+            let req = min_feasible_capacity(&spec.build()) as u64;
             for s in [req, 2 * req, 4 * req] {
-                let sched = spec.schedule_source(&g, s);
-                for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-                    let flat = sim
-                        .run(&g, &sched.order, policy, s)
-                        .expect("feasible by construction");
-                    let h = machine.single_level_hierarchy(s);
-                    let tiered = hsim
-                        .run(&g, &sched.order, policy, &h, Inclusion::Inclusive)
-                        .expect("same capacity, same feasibility");
-                    assert_eq!(tiered.levels.len(), 1, "{name}: one cache boundary");
+                let h = machine.single_level_hierarchy(s);
+                for inclusion in [Inclusion::Inclusive, Inclusion::Exclusive] {
                     assert_eq!(
-                        tiered.boundary(1).trace,
-                        flat,
-                        "{name} on {} S={s} {policy:?}: hierarchy diverged from oracle",
+                        effective_capacities(&h, inclusion),
+                        [("cache".to_string(), s)],
+                        "{name} on {} S={s} {inclusion}",
                         machine.name
                     );
                 }
@@ -63,7 +72,7 @@ fn one_level_hierarchy_is_the_single_cache_simulation() {
 #[test]
 fn infinite_top_level_degenerates_to_compulsory_misses() {
     let registry = Registry::shared();
-    let mut hsim = HierarchySimulation::new();
+    let mut sim = Simulation::new();
     let h = MemoryHierarchy::new(vec![
         Level::new("cache", 1, u64::MAX / 2),
         Level::new("DRAM", 1, u64::MAX),
@@ -74,10 +83,9 @@ fn infinite_top_level_degenerates_to_compulsory_misses() {
         let g = spec.build();
         let sched = spec.schedule_source(&g, u64::MAX / 2);
         for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-            let t = hsim
-                .run(&g, &sched.order, policy, &h, Inclusion::Inclusive)
-                .expect("infinite capacity is always feasible");
-            let b = &t.boundary(1).trace;
+            let levels = per_level(&mut sim, &g, &sched.order, policy, &h);
+            assert_eq!(levels.len(), 1, "{name}: one cache boundary");
+            let b = &levels[0];
             assert_eq!(
                 b.loads as usize,
                 g.inputs().len(),
@@ -148,11 +156,7 @@ fn hierarchy_error_variants_are_loud() {
 }
 
 /// A small random layered DAG plus its Kahn order.
-fn random_case(
-    layers: usize,
-    width: usize,
-    seed: u64,
-) -> (dmc_cdag::graph::Cdag, Vec<dmc_cdag::graph::VertexId>) {
+fn random_case(layers: usize, width: usize, seed: u64) -> (Cdag, Vec<VertexId>) {
     let g = random_layered(RandomDagConfig {
         layers,
         width,
@@ -188,16 +192,15 @@ proptest! {
             Level::new("L3", 1, caps[2]),
             Level::new("DRAM", 1, u64::MAX),
         ]).expect("valid hierarchy");
-        let mut hsim = HierarchySimulation::new();
+        let mut sim = Simulation::new();
         for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-            let t = hsim.run(&g, &order, policy, &h, Inclusion::Inclusive)
-                .expect("caps start at the feasible minimum");
-            prop_assert_eq!(t.levels.len(), 3);
-            for w in t.levels.windows(2) {
+            let levels = per_level(&mut sim, &g, &order, policy, &h);
+            prop_assert_eq!(levels.len(), 3);
+            for (l, w) in levels.windows(2).enumerate() {
                 prop_assert!(
-                    w[0].trace.io() >= w[1].trace.io(),
+                    w[0].io() >= w[1].io(),
                     "{policy:?}: level {} io {} < level {} io {}",
-                    w[0].level, w[0].trace.io(), w[1].level, w[1].trace.io()
+                    l + 1, w[0].io(), l + 2, w[1].io()
                 );
             }
         }
@@ -220,24 +223,18 @@ proptest! {
             Level::new("L1", 1, s1),
             Level::new("DRAM", 1, u64::MAX),
         ]).expect("valid hierarchy");
-        let mut hsim = HierarchySimulation::new();
-        let before = hsim
-            .run(&g, &order, CachePolicy::Lru, &mk(small), Inclusion::Inclusive)
-            .expect("feasible")
-            .boundary(1).trace;
-        let after = hsim
-            .run(&g, &order, CachePolicy::Lru, &mk(small + growth), Inclusion::Inclusive)
-            .expect("feasible")
-            .boundary(1).trace;
+        let mut sim = Simulation::new();
+        let before = per_level(&mut sim, &g, &order, CachePolicy::Lru, &mk(small))[0];
+        let after = per_level(&mut sim, &g, &order, CachePolicy::Lru, &mk(small + growth))[0];
         prop_assert!(
             after.io() <= before.io(),
             "S {} -> {}: io {} -> {}", small, small + growth, before.io(), after.io()
         );
     }
 
-    /// The one-level oracle holds on arbitrary random DAGs too, not just
-    /// the curated kernels: machine-derived single-level hierarchies and
-    /// the flat simulator agree trace-for-trace.
+    /// Fresh arenas are the oracle for the reused one: measuring every
+    /// level of a machine's node hierarchy on one reset-and-reuse arena,
+    /// after an unrelated run, matches a fresh `Simulation` per level.
     #[test]
     fn oracle_holds_on_random_dags(
         layers in 2usize..6,
@@ -246,15 +243,17 @@ proptest! {
         slack in 0u64..24
     ) {
         let (g, order) = random_case(layers, width, seed);
-        let s = min_feasible_capacity(&g) as u64 + slack;
-        let h = ibm_bgq().single_level_hierarchy(s);
+        let s1 = min_feasible_capacity(&g) as u64 + slack;
+        let h = ibm_bgq().node_hierarchy(s1);
         let mut sim = Simulation::new();
-        let mut hsim = HierarchySimulation::new();
         for policy in [CachePolicy::Lru, CachePolicy::Opt] {
-            let flat = sim.run(&g, &order, policy, s).expect("feasible");
-            let tiered = hsim.run(&g, &order, policy, &h, Inclusion::Inclusive)
-                .expect("feasible");
-            prop_assert_eq!(&tiered.boundary(1).trace, &flat);
+            let _warm_up = sim.run(&g, &order, policy, u64::MAX).expect("feasible");
+            let reused = per_level(&mut sim, &g, &order, policy, &h);
+            let fresh: Vec<Trace> = effective_capacities(&h, Inclusion::Inclusive)
+                .iter()
+                .map(|(_, c)| Simulation::new().run(&g, &order, policy, *c).expect("feasible"))
+                .collect();
+            prop_assert_eq!(reused, fresh);
         }
     }
 }

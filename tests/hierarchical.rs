@@ -1,8 +1,8 @@
 //! End-to-end tests of the hierarchical analysis mode: dominance of the
-//! flat pipeline under default options across the whole kernel catalog,
-//! RBW-optimum soundness of the opt-in composed bound, thread-count
-//! invariance of the full hierarchy report, and the configurable
-//! admission limit behind `repro analyze --max-vertices`.
+//! flat pipeline across the whole kernel catalog, RBW-optimum soundness
+//! of the composed bound, thread-count invariance of the full hierarchy
+//! report, and the configurable admission limit behind `repro analyze
+//! --max-vertices`.
 
 use dmc::cdag::Cdag;
 use dmc::core::games::optimal::{optimal_io, GameKind};
@@ -19,11 +19,11 @@ fn analyzer(sram: u64, threads: usize) -> Analyzer {
     })
 }
 
-/// With default options the hierarchical bound is dominated by the flat
-/// bound **by construction** (per-cluster trivial bounds sum to the
-/// whole-graph trivial bound and the whole-graph wavefront is shared
-/// with the flat portfolio), and both are certified on the same graph.
-/// Check the invariant across every catalog kernel at its default spec.
+/// The hierarchical bound is dominated by the flat bound **by
+/// construction** (per-cluster trivial bounds sum to the whole-graph
+/// trivial bound and the whole-graph wavefront is shared with the flat
+/// portfolio), and both are certified on the same graph. Check the
+/// invariant across every catalog kernel at its default spec.
 #[test]
 fn hierarchical_dominated_by_flat_across_catalog() {
     let registry = Registry::shared();
@@ -77,8 +77,8 @@ fn admission_limit_is_configurable_and_loud() {
     assert!(registry.parse_within(spec, 1 << 23).is_ok());
 }
 
-/// Tiny graphs where the exact RBW optimum is computable; the opt-in
-/// composed bound (per-cluster wavefronts on) must stay below it.
+/// Tiny graphs where the exact RBW optimum is computable; the
+/// hierarchical bound must stay below it.
 fn arb_tiny_cdag() -> impl Strategy<Value = Cdag> {
     (2usize..4, 2usize..4, 0.15f64..0.7, 0u64..1000).prop_map(|(layers, width, p, seed)| {
         random_layered(RandomDagConfig {
@@ -103,27 +103,22 @@ fn arb_cdag() -> impl Strategy<Value = Cdag> {
     })
 }
 
-/// The strongest opt-in configuration: per-cluster wavefronts on and a
-/// forced non-trivial cluster count, so Theorem-2 composition of
-/// sub-CDAG wavefronts is actually exercised.
-fn strong_opts() -> HierarchicalOptions {
-    HierarchicalOptions {
-        clusters: Some(3),
-        cluster_wavefront_limit: usize::MAX,
-        ..HierarchicalOptions::default()
-    }
+/// A forced non-trivial cluster count, so the Theorem-2 composition
+/// over several clusters is actually exercised.
+fn three_clusters() -> HierarchicalOptions {
+    HierarchicalOptions { clusters: Some(3) }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Soundness sandwich: even with per-cluster wavefronts enabled the
-    /// hierarchical bound never exceeds the exact RBW optimum.
+    /// Soundness: the hierarchical bound never exceeds the exact RBW
+    /// optimum.
     #[test]
     fn hierarchical_bound_below_optimal(g in arb_tiny_cdag(), s_extra in 1usize..5) {
         let min_s = g.vertices().map(|v| g.in_degree(v) + 1).max().unwrap_or(1);
         let s = min_s + s_extra;
-        let report = analyzer(s as u64, 1).analyze_hierarchical(&g, &strong_opts());
+        let report = analyzer(s as u64, 1).analyze_hierarchical(&g, &three_clusters());
         if let Some(opt) = optimal_io(&g, s, GameKind::Rbw) {
             prop_assert!(
                 report.bound.value <= opt as f64,
@@ -137,9 +132,9 @@ proptest! {
     /// 1, 2, and 4 threads.
     #[test]
     fn hierarchical_invariant_in_threads(g in arb_cdag(), s in 2u64..6) {
-        let base = analyzer(s, 1).analyze_hierarchical(&g, &strong_opts());
+        let base = analyzer(s, 1).analyze_hierarchical(&g, &three_clusters());
         for threads in [2usize, 4] {
-            let r = analyzer(s, threads).analyze_hierarchical(&g, &strong_opts());
+            let r = analyzer(s, threads).analyze_hierarchical(&g, &three_clusters());
             prop_assert_eq!(r.to_string(), base.to_string());
             prop_assert_eq!(serde::json::to_string(&r), serde::json::to_string(&base));
         }
