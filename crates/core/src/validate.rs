@@ -441,7 +441,8 @@ mod tests {
 
     #[test]
     fn recorded_games_validate_to_their_measured_io() {
-        // Every default kernel's schedule, both policies: the simulator's
+        // Every default kernel's schedule, both policies, from the
+        // minimum feasible S to |V| + 1 (no evictions): the simulator's
         // recorded game replays cleanly through the RBW rule checker,
         // which counts exactly the I/O the simulator measured.
         let registry = Registry::shared();
@@ -450,10 +451,9 @@ mod tests {
         for name in registry.names() {
             let spec = registry.defaults(name).expect("registered");
             let g = spec.build();
-            for s in [8u64, 16, 64] {
-                if (min_feasible_capacity(&g) as u64) > s {
-                    continue;
-                }
+            let min_s = min_feasible_capacity(&g) as u64;
+            let srams = [min_s, 8, 16, 64, 1024, g.num_vertices() as u64 + 1];
+            for s in srams.into_iter().filter(|&s| s >= min_s) {
                 let order = spec.schedule_source(&g, s).order;
                 for policy in [CachePolicy::Lru, CachePolicy::Opt] {
                     let t = sim

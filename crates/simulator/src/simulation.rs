@@ -33,12 +33,39 @@
 //!   schedule is furthest away (values never used again are infinitely
 //!   far); ties are broken toward the smaller vertex id.
 //!
+//! Neither rule scans the residents. Three structures, all retained
+//! vectors indexed by vertex id, find the victim:
+//!
+//! * **Slots.** Every resident knows its index in the resident list, so
+//!   freeing a word (eviction or free delete) is a swap-remove plus one
+//!   index fix-up.
+//! * **LRU list.** Under LRU the residents also form an intrusive
+//!   doubly-linked list, and a touch moves the value to the tail. A value
+//!   is touched at once after it is placed and ticks are unique, so list
+//!   order *is* last-touch order: the victim is the first value from the
+//!   head that is not pinned.
+//! * **OPT heap.** Under OPT the resident list is kept as a binary
+//!   max-heap by the key `(next use, Reverse(id))`, whose maximum is the
+//!   furthest next use, then the smaller id. A key changes only when a
+//!   value's use is retired, and the value is resident then. The heap's
+//!   root is never pinned: a pinned predecessor's next use is the current
+//!   step, and every other resident's is later.
+//!
+//! An LRU touch, eviction or delete costs O(1), past skipping at most
+//! `in_degree + 1` pinned values; an OPT key update, eviction or delete
+//! costs O(log S). Debug builds re-derive every victim with the linear
+//! scan these structures replace and assert that the two agree.
+//!
 //! No hash-map iteration is involved anywhere, so traces are reproducible
 //! across runs, processes, and thread counts.
 
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::{Cdag, VertexId};
+use std::cmp::Reverse;
 use std::fmt;
+
+/// No vertex: the end of the LRU list, or the slot of a non-resident.
+const NIL: u32 = u32::MAX;
 
 /// Words of fast memory firing `v` needs resident at once: one for an
 /// input, `in_degree + 1` for a compute vertex (itself plus every
@@ -200,10 +227,24 @@ pub struct Simulation {
     /// `use_pos[use_start[u] .. use_start[u + 1]]`.
     use_start: Vec<u32>,
     use_pos: Vec<u32>,
+    /// Uses of each vertex retired so far; its next use is the first one
+    /// after them.
     cursor: Vec<u32>,
-    last_touch: Vec<u64>,
     pos: Vec<u32>,
+    /// The residents; a binary max-heap by [`Simulation::opt_key`] under
+    /// OPT, unordered under LRU.
     resident_list: Vec<VertexId>,
+    /// Each resident's index in `resident_list`.
+    slot: Vec<u32>,
+    /// Under LRU, the residents in touch order, oldest at `lru_head`.
+    lru_prev: Vec<u32>,
+    lru_next: Vec<u32>,
+    lru_head: u32,
+    lru_tail: u32,
+    /// Last-touch ticks, read only by the debug-build victim oracle.
+    #[cfg(debug_assertions)]
+    last_touch: Vec<u64>,
+    #[cfg(debug_assertions)]
     clock: u64,
 }
 
@@ -324,15 +365,16 @@ impl Simulation {
             self.use_start[i + 1] += self.use_start[i];
         }
         self.use_pos.resize(self.use_start[n] as usize, 0);
-        {
-            let mut fill = self.use_start.clone();
-            for (step, &v) in schedule.iter().enumerate() {
-                for &p in g.predecessors(v) {
-                    self.use_pos[fill[p.index()] as usize] = step as u32;
-                    fill[p.index()] += 1;
-                }
+        // `cursor` (zeroed by `reset`) counts each vertex's filled uses,
+        // then is zeroed again for the game loop.
+        for (step, &v) in schedule.iter().enumerate() {
+            for &p in g.predecessors(v) {
+                let c = &mut self.cursor[p.index()];
+                self.use_pos[(self.use_start[p.index()] + *c) as usize] = step as u32;
+                *c += 1;
             }
         }
+        self.cursor.fill(0);
 
         let mut trace = Trace::default();
         for (step, &v) in schedule.iter().enumerate() {
@@ -346,9 +388,9 @@ impl Simulation {
                     debug_assert!(self.saved[p.index()], "spilled {p} lost without a store");
                     trace.loads += 1;
                     record(Move::Load(p));
-                    self.place(p);
+                    self.place(p, policy);
                 }
-                self.touch(p);
+                self.touch(p, policy);
             }
             // 2. The fired vertex itself: inputs load, computes are free.
             if !self.resident[v.index()] {
@@ -359,21 +401,21 @@ impl Simulation {
                 } else {
                     record(Move::Compute(v));
                 }
-                self.place(v);
+                self.place(v, policy);
             }
-            self.touch(v);
+            self.touch(v, policy);
             // 3. Retire uses; delete dead values for free (rule R4).
             for &p in preds {
                 self.remaining[p.index()] -= 1;
-                self.advance_cursor(p, step as u32);
+                self.advance_cursor(p, step as u32, policy);
                 if self.remaining[p.index()] == 0
                     && (!g.is_output(p) || self.saved[p.index()])
-                    && self.drop_resident(p)
+                    && self.drop_resident(p, policy)
                 {
                     record(Move::Delete(p));
                 }
             }
-            if self.remaining[v.index()] == 0 && !g.is_output(v) && self.drop_resident(v) {
+            if self.remaining[v.index()] == 0 && !g.is_output(v) && self.drop_resident(v, policy) {
                 record(Move::Delete(v));
             }
         }
@@ -404,48 +446,82 @@ impl Simulation {
         self.use_pos.clear();
         self.cursor.clear();
         self.cursor.resize(n, 0);
-        self.last_touch.clear();
-        self.last_touch.resize(n, 0);
         self.pos.clear();
         self.pos.resize(n, u32::MAX);
         self.resident_list.clear();
-        self.clock = 0;
+        self.slot.clear();
+        self.slot.resize(n, NIL);
+        self.lru_prev.clear();
+        self.lru_prev.resize(n, NIL);
+        self.lru_next.clear();
+        self.lru_next.resize(n, NIL);
+        self.lru_head = NIL;
+        self.lru_tail = NIL;
+        #[cfg(debug_assertions)]
+        {
+            self.last_touch.clear();
+            self.last_touch.resize(n, 0);
+            self.clock = 0;
+        }
     }
 
-    fn touch(&mut self, v: VertexId) {
-        self.clock += 1;
-        self.last_touch[v.index()] = self.clock;
+    fn touch(&mut self, v: VertexId, policy: CachePolicy) {
+        #[cfg(debug_assertions)]
+        {
+            self.clock += 1;
+            self.last_touch[v.index()] = self.clock;
+        }
+        if policy == CachePolicy::Lru && self.lru_tail != v.0 {
+            self.lru_unlink(v);
+            self.lru_push_back(v);
+        }
     }
 
-    fn place(&mut self, v: VertexId) {
+    fn place(&mut self, v: VertexId, policy: CachePolicy) {
         debug_assert!(!self.resident[v.index()]);
         self.resident[v.index()] = true;
+        self.slot[v.index()] = self.resident_list.len() as u32;
         self.resident_list.push(v);
-        self.clock += 1;
+        match policy {
+            CachePolicy::Lru => self.lru_push_back(v),
+            CachePolicy::Opt => self.sift_up(self.resident_list.len() - 1),
+        }
     }
 
     /// Frees `v`'s word; `false` (and no change) when it was not
     /// resident.
-    fn drop_resident(&mut self, v: VertexId) -> bool {
+    fn drop_resident(&mut self, v: VertexId, policy: CachePolicy) -> bool {
         if !self.resident[v.index()] {
             return false;
         }
         self.resident[v.index()] = false;
-        let at = self
-            .resident_list
-            .iter()
-            .position(|&u| u == v)
-            // dmc-lint: allow(s1) -- victim was drawn from the resident list by the selection above; absence is a bookkeeping bug
-            .expect("resident list consistent");
+        let at = self.slot[v.index()] as usize;
+        debug_assert_eq!(self.resident_list[at], v, "slot of {v} out of date");
         self.resident_list.swap_remove(at);
+        if let Some(&moved) = self.resident_list.get(at) {
+            self.slot[moved.index()] = at as u32;
+            if policy == CachePolicy::Opt {
+                self.sift_up(at);
+                self.sift_down(self.slot[moved.index()] as usize);
+            }
+        }
+        if policy == CachePolicy::Lru {
+            self.lru_unlink(v);
+        }
         true
     }
 
-    fn advance_cursor(&mut self, p: VertexId, step: u32) {
+    /// Retires `p`'s uses up to `step`; under OPT a resident `p`'s key
+    /// grows with its next use, so it rises in the heap.
+    fn advance_cursor(&mut self, p: VertexId, step: u32, policy: CachePolicy) {
         let (lo, hi) = (self.use_start[p.index()], self.use_start[p.index() + 1]);
         let c = &mut self.cursor[p.index()];
+        let before = *c;
         while lo + *c < hi && self.use_pos[(lo + *c) as usize] <= step {
             *c += 1;
+        }
+        if policy == CachePolicy::Opt && *c != before && self.resident[p.index()] {
+            self.sift_up(self.slot[p.index()] as usize);
         }
     }
 
@@ -456,6 +532,79 @@ impl Simulation {
             self.use_pos[c as usize]
         } else {
             u32::MAX
+        }
+    }
+
+    /// OPT's eviction key: furthest next use first, then the smaller id.
+    fn opt_key(&self, u: VertexId) -> (u32, Reverse<VertexId>) {
+        (self.next_use(u), Reverse(u))
+    }
+
+    /// Moves the heap entry at `at` toward the root past smaller keys.
+    fn sift_up(&mut self, mut at: usize) {
+        let u = self.resident_list[at];
+        let key = self.opt_key(u);
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            let p = self.resident_list[parent];
+            if self.opt_key(p) > key {
+                break;
+            }
+            self.resident_list[at] = p;
+            self.slot[p.index()] = at as u32;
+            at = parent;
+        }
+        self.resident_list[at] = u;
+        self.slot[u.index()] = at as u32;
+    }
+
+    /// Moves the heap entry at `at` toward the leaves past larger keys.
+    fn sift_down(&mut self, mut at: usize) {
+        let u = self.resident_list[at];
+        let key = self.opt_key(u);
+        let len = self.resident_list.len();
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len
+                && self.opt_key(self.resident_list[child + 1])
+                    > self.opt_key(self.resident_list[child])
+            {
+                child += 1;
+            }
+            let c = self.resident_list[child];
+            if self.opt_key(c) < key {
+                break;
+            }
+            self.resident_list[at] = c;
+            self.slot[c.index()] = at as u32;
+            at = child;
+        }
+        self.resident_list[at] = u;
+        self.slot[u.index()] = at as u32;
+    }
+
+    fn lru_push_back(&mut self, v: VertexId) {
+        self.lru_prev[v.index()] = self.lru_tail;
+        self.lru_next[v.index()] = NIL;
+        match self.lru_tail {
+            NIL => self.lru_head = v.0,
+            tail => self.lru_next[tail as usize] = v.0,
+        }
+        self.lru_tail = v.0;
+    }
+
+    fn lru_unlink(&mut self, v: VertexId) {
+        let (prev, next) = (self.lru_prev[v.index()], self.lru_next[v.index()]);
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.lru_next[p as usize] = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.lru_prev[n as usize] = prev,
         }
     }
 
@@ -482,12 +631,45 @@ impl Simulation {
                 self.saved[victim.index()] = true;
             }
             trace.evictions += 1;
-            self.drop_resident(victim);
+            self.drop_resident(victim, policy);
             record(Move::Delete(victim));
         }
     }
 
+    /// The resident to evict. The feasibility check at entry leaves at
+    /// least one unpinned resident whenever the cache is full.
     fn choose_victim(&self, pinned: &[VertexId], v: VertexId, policy: CachePolicy) -> VertexId {
+        let victim = match policy {
+            // The oldest resident that is not pinned.
+            CachePolicy::Lru => {
+                let mut u = self.lru_head;
+                while u == v.0 || pinned.contains(&VertexId(u)) {
+                    u = self.lru_next[u as usize];
+                }
+                VertexId(u)
+            }
+            // The heap's root: pinned values have the smallest next use.
+            CachePolicy::Opt => self.resident_list[0],
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(victim),
+            self.scan_victim(pinned, v, policy),
+            "{policy} victim diverged from the linear scan"
+        );
+        victim
+    }
+
+    /// The linear scan over every resident that the LRU list and the OPT
+    /// heap replace, kept in debug builds as the oracle
+    /// [`Simulation::choose_victim`] is checked against.
+    #[cfg(debug_assertions)]
+    fn scan_victim(
+        &self,
+        pinned: &[VertexId],
+        v: VertexId,
+        policy: CachePolicy,
+    ) -> Option<VertexId> {
         let mut best: Option<VertexId> = None;
         for &u in &self.resident_list {
             if u == v || pinned.contains(&u) {
@@ -509,8 +691,7 @@ impl Simulation {
                 best = Some(u);
             }
         }
-        // dmc-lint: allow(s1) -- the feasibility check at entry guarantees at least one unpinned resident exists
-        best.expect("feasibility check guarantees an unpinned resident")
+        best
     }
 }
 
@@ -735,8 +916,175 @@ mod tests {
         }
     }
 
+    #[test]
+    fn opt_evicts_dead_outputs_smallest_id_first() {
+        // Outputs y1 < y2 < y3 (by id) of input a are fired y3, y2, y1 and
+        // never used again, so they stay resident unsaved. Loading e and
+        // h, then firing c = f(b, e, h), in S = 4 evicts all three. OPT
+        // ranks them equal (no next use) and takes the smallest id first;
+        // LRU takes the least recently fired first.
+        let mut bld = dmc_cdag::CdagBuilder::new();
+        let a = bld.add_input("a");
+        let [y1, y2, y3] = [1, 2, 3].map(|i| bld.add_op(format!("y{i}"), &[a]));
+        let [b, e, h] = ["b", "e", "h"].map(|l| bld.add_input(l));
+        let c = bld.add_op("c", &[b, e, h]);
+        for o in [y1, y2, y3, c] {
+            bld.tag_output(o);
+        }
+        let g = bld.build_valid("dead outputs");
+        let order = [a, y3, y2, y1, b, e, h, c];
+        use Move::{Compute, Delete, Load, Store};
+        let moves = |evicted: [VertexId; 3]| {
+            let [first, second, third] = evicted;
+            vec![
+                Load(a),
+                Compute(y3),
+                Compute(y2),
+                Compute(y1),
+                Delete(a),
+                Load(b),
+                Store(first),
+                Delete(first),
+                Load(e),
+                Store(second),
+                Delete(second),
+                Load(h),
+                Store(third),
+                Delete(third),
+                Compute(c),
+                Delete(b),
+                Delete(e),
+                Delete(h),
+                Store(c),
+            ]
+        };
+        let mut sim = Simulation::new();
+        let mut got = Vec::new();
+        for (policy, evicted) in [
+            (CachePolicy::Opt, [y1, y2, y3]),
+            (CachePolicy::Lru, [y3, y2, y1]),
+        ] {
+            let t = sim.run_recorded(&g, &order, policy, 4, &mut got).unwrap();
+            assert_eq!(got, moves(evicted), "{policy}");
+            assert_eq!((t.loads, t.stores, t.evictions), (4, 4, 3), "{policy}");
+        }
+    }
+
+    #[test]
+    fn lru_counts_a_reloaded_value_as_newest() {
+        // In S = 4, firing x = f(c, e) evicts input a, the oldest. Firing
+        // y = f(a) reloads a, so when firing z = f(x, y) needs a word, b
+        // (last touched before a's reload) is the LRU victim, not a.
+        let mut bld = dmc_cdag::CdagBuilder::new();
+        let [a, b, c, e] = ["a", "b", "c", "e"].map(|l| bld.add_input(l));
+        let x = bld.add_op("x", &[c, e]);
+        let y = bld.add_op("y", &[a]);
+        let z = bld.add_op("z", &[x, y]);
+        let w = bld.add_op("w", &[a, b, z]);
+        bld.tag_output(w);
+        let g = bld.build_valid("reload");
+        let order = [a, b, c, e, x, y, z, w];
+        use Move::{Compute, Delete, Load, Store};
+        let want = [
+            Load(a),
+            Load(b),
+            Load(c),
+            Load(e),
+            Delete(a),
+            Compute(x),
+            Delete(c),
+            Delete(e),
+            Load(a),
+            Compute(y),
+            Delete(b),
+            Compute(z),
+            Delete(x),
+            Delete(y),
+            Load(b),
+            Compute(w),
+            Delete(a),
+            Delete(b),
+            Delete(z),
+            Store(w),
+        ];
+        let mut got = Vec::new();
+        let t = Simulation::new()
+            .run_recorded(&g, &order, CachePolicy::Lru, 4, &mut got)
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!((t.io(), t.evictions), (7, 2));
+    }
+
+    #[test]
+    fn hits_and_retired_uses_reorder_victims() {
+        // Loading c in S = 3 evicts from {a, b, p}, where a was just hit
+        // by p = f(a). LRU must count the hit as a touch and drop b; OPT
+        // must see a's next use move from p's step to r's and drop a.
+        let mut bld = dmc_cdag::CdagBuilder::new();
+        let [a, b, c] = ["a", "b", "c"].map(|l| bld.add_input(l));
+        let p = bld.add_op("p", &[a]);
+        let q = bld.add_op("q", &[b, p]);
+        let r = bld.add_op("r", &[a, c]);
+        bld.tag_output(q);
+        bld.tag_output(r);
+        let g = bld.build_valid("reorder");
+        let order = [a, b, p, c, q, r];
+        use Move::{Compute, Delete, Load, Store};
+        let lru = [
+            Load(a),
+            Load(b),
+            Compute(p),
+            Delete(b),
+            Load(c),
+            Delete(a),
+            Load(b),
+            Delete(c),
+            Compute(q),
+            Delete(b),
+            Delete(p),
+            Load(a),
+            Load(c),
+            Store(q),
+            Delete(q),
+            Compute(r),
+            Delete(a),
+            Delete(c),
+            Store(r),
+        ];
+        let opt = [
+            Load(a),
+            Load(b),
+            Compute(p),
+            Delete(a),
+            Load(c),
+            Delete(c),
+            Compute(q),
+            Delete(b),
+            Delete(p),
+            Load(a),
+            Load(c),
+            Store(q),
+            Delete(q),
+            Compute(r),
+            Delete(a),
+            Delete(c),
+            Store(r),
+        ];
+        let mut sim = Simulation::new();
+        let mut got = Vec::new();
+        for (policy, want, io) in [
+            (CachePolicy::Lru, &lru[..], 8),
+            (CachePolicy::Opt, &opt[..], 7),
+        ] {
+            let t = sim.run_recorded(&g, &order, policy, 3, &mut got).unwrap();
+            assert_eq!(got, want, "{policy}");
+            assert_eq!(t.io(), io, "{policy}");
+        }
+    }
+
     mod properties {
         use super::*;
+        use dmc_cdag::topo::complete_order;
         use dmc_kernels::random::{random_layered, RandomDagConfig};
         use proptest::prelude::*;
 
@@ -767,7 +1115,9 @@ mod tests {
                 }
             }
 
-            /// Shrinking S never reduces I/O for a fixed schedule+policy.
+
+            /// Shrinking S never reduces I/O for a fixed schedule+policy:
+            /// LRU and OPT are both stack algorithms.
             #[test]
             fn io_is_monotone_in_capacity(
                 layers in 2usize..5,
@@ -779,11 +1129,43 @@ mod tests {
                 let order = topological_order(&g);
                 let min_s = min_feasible_capacity(&g) as u64;
                 let mut sim = Simulation::new();
-                let mut prev = u64::MAX;
-                for s in [min_s, min_s + 1, min_s + 2, min_s + 4, min_s + 16] {
-                    let t = sim.run(&g, &order, CachePolicy::Lru, s).expect("feasible");
-                    prop_assert!(t.io() <= prev, "S = {}: {} > {}", s, t.io(), prev);
-                    prev = t.io();
+                for policy in [CachePolicy::Lru, CachePolicy::Opt] {
+                    let mut prev = u64::MAX;
+                    for s in [min_s, min_s + 1, min_s + 2, min_s + 4, min_s + 16] {
+                        let t = sim.run(&g, &order, policy, s).expect("feasible");
+                        prop_assert!(t.io() <= prev, "{} S = {}: {} > {}", policy, s, t.io(), prev);
+                        prev = t.io();
+                    }
+                }
+            }
+
+            /// On seeded random topological orders at every S from the
+            /// minimum feasible to |V| + 1, an arena reused across
+            /// capacities and policies records the same game as a fresh
+            /// one.
+            #[test]
+            fn reused_arena_replays_fresh_games_on_random_orders(
+                layers in 2usize..5,
+                width in 2usize..6,
+                p in 0.1f64..0.7,
+                seed in 0u64..500,
+                keys in proptest::collection::vec(0u32..1000, 32)
+            ) {
+                let g = random_layered(RandomDagConfig { layers, width, deg: 0, edge_prob: p, seed });
+                let mut preferred: Vec<VertexId> = g.vertices().collect();
+                preferred.sort_by_key(|v| (keys[v.index()], *v));
+                let order = complete_order(&g, preferred);
+                let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+                let mut sim = Simulation::new();
+                for s in min_feasible_capacity(&g) as u64..=g.num_vertices() as u64 + 1 {
+                    for policy in [CachePolicy::Lru, CachePolicy::Opt] {
+                        let t = sim.run_recorded(&g, &order, policy, s, &mut reused).expect("feasible");
+                        let want = Simulation::new()
+                            .run_recorded(&g, &order, policy, s, &mut fresh)
+                            .expect("feasible");
+                        prop_assert_eq!(t, want, "{} S = {}", policy, s);
+                        prop_assert_eq!(&reused, &fresh, "{} S = {}", policy, s);
+                    }
                 }
             }
         }
