@@ -740,7 +740,7 @@ pub fn simulate_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
     let mut out = String::from(
         "== E15: empirical validation sandwich (measured I/O vs certified bounds) ==\n\
-         certified LB <= measured OPT <= measured LRU <= certified UB, per S:\n",
+         certified LB <= measured OPT, LRU; OPT loads <= LRU loads; LRU == certified UB, per S:\n",
     );
     out.push_str(
         "spec                     S    LB(cert)  OPT(io)  LRU(io)  UB(cert)  ok   schedule\n",
@@ -893,7 +893,7 @@ pub fn machine_experiment_with(threads: usize) -> String {
     use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
     let mut out = String::from(
         "== E17: machine-hierarchy roofline (per-level sandwich + verdicts) ==\n\
-         certified LB <= measured OPT <= measured LRU <= certified UB at every boundary:\n",
+         certified LB <= measured OPT, LRU; OPT loads <= LRU loads; LRU == certified UB at every boundary:\n",
     );
     out.push_str(
         "spec                     machine      level       LB(cert)  LRU(io)  UB(cert)  w/F      balance  verdict\n",

@@ -23,10 +23,22 @@
 //! bound ahead of it. [`wavefront_bound_above`] takes that *incumbent*,
 //! turns it into a wavefront floor, and skips every anchor — or the
 //! whole engine — that provably cannot clear it.
+//!
+//! The expensive part does not depend on `S`: `S` only shifts the value
+//! `2·(w − S)` and raises the floor `⌊v/2⌋ + S`. So the bound is split in
+//! two. `WavefrontMeasurement::measure` takes the engine's ceiling and
+//! runs the engine once, floored at the smallest `S` asked for;
+//! `WavefrontMeasurement::bound_at` assembles the bound at any larger
+//! `S` from that, byte for byte what a run at that `S` gives, because a
+//! floored run's winner is the unfloored one whenever it clears the
+//! floor and its anchor count does not depend on the floor.
+//! [`wavefront_bound_above`] is the two halves at one `S`; the pipeline
+//! ([`crate::pipeline::Analyzer::measure_portfolio`]) keeps the first
+//! half and assembles at every `S` of a sweep.
 
 use super::{IoBound, Method};
 use dmc_cdag::cut::min_wavefront;
-use dmc_cdag::engine::WavefrontEngine;
+use dmc_cdag::engine::{EngineRun, WavefrontEngine};
 use dmc_cdag::{Cdag, VertexId};
 
 /// Lemma 2 for one anchor: `2·(w − S)`, clamped at zero.
@@ -99,6 +111,9 @@ pub fn auto_wavefront_bound_with(
 /// to the unfloored bound; one that cannot is reported as a value-0
 /// Lemma-2 leaf whose note names the ceiling or floor and the incumbent.
 /// Without an incumbent this is exactly [`auto_wavefront_bound_with`].
+///
+/// This is `WavefrontMeasurement::measure` at `S` followed by
+/// `WavefrontMeasurement::bound_at` the same `S`.
 pub fn wavefront_bound_above(
     g: &Cdag,
     s: u64,
@@ -106,57 +121,154 @@ pub fn wavefront_bound_above(
     threads: usize,
     incumbent: Option<&IoBound>,
 ) -> IoBound {
-    let engine = WavefrontEngine::new(g).with_threads(threads);
-    let floor = incumbent.map(|inc| (inc, lemma2_floor(inc.value, s)));
-    if let Some((inc, f)) = floor {
-        let c = engine.ceiling();
-        if c as u64 <= f {
-            return IoBound::new(
+    WavefrontMeasurement::measure(g, s, strategy, threads, incumbent).bound_at(s)
+}
+
+/// The `S`-independent half of [`wavefront_bound_above`]: the engine's
+/// level-cut ceiling and at most one engine run, from which
+/// [`WavefrontMeasurement::bound_at`] assembles the bound at every
+/// `S ≥ s_min` without touching the graph again.
+///
+/// Why one run serves every such `S`: the incumbent does not depend on
+/// `S`, so the floor `F(S) = ⌊v/2⌋ + S` only grows with it. A run
+/// floored at `F(s_min)` returns the unfloored winner whenever that
+/// winner exceeds `F(s_min)` — in particular whenever it exceeds any
+/// `F(S)` — and nothing otherwise, and its `anchors_considered` does not
+/// depend on the floor ([`WavefrontEngine::run_adaptive_above`],
+/// [`WavefrontEngine::run_above`]). So the run floored at `F(S)` is this
+/// run's winner filtered by `F(S)`, with the same anchor count, and the
+/// ceiling test against `F(S)` needs only the ceiling. When the ceiling
+/// is at most `F(s_min)`, no `S` runs the engine, so it is not run here
+/// either.
+#[derive(Debug, Clone)]
+pub(crate) struct WavefrontMeasurement {
+    /// The smallest `S` the measurement answers for.
+    s_min: u64,
+    /// The engine's level-cut ceiling.
+    ceiling: usize,
+    /// `"adaptive: "` or empty, as the winning note spells the strategy.
+    mode: &'static str,
+    floor: Floor,
+}
+
+/// How a [`WavefrontMeasurement`] was floored.
+#[derive(Debug, Clone)]
+enum Floor {
+    /// No incumbent: one unfloored run.
+    None(EngineRun),
+    /// Floored by `incumbent`: one run at `F(s_min)`, or none when the
+    /// ceiling is at most that floor.
+    Incumbent {
+        incumbent: IoBound,
+        run: Option<EngineRun>,
+    },
+}
+
+impl WavefrontMeasurement {
+    /// Measures `g` for every `S ≥ s_min`: the engine's ceiling, and the
+    /// engine run (`threads` workers, `0` = all cores; the result does
+    /// not depend on it) floored at `F(s_min)` unless the ceiling rules
+    /// it out.
+    pub(crate) fn measure(
+        g: &Cdag,
+        s_min: u64,
+        strategy: AnchorStrategy,
+        threads: usize,
+        incumbent: Option<&IoBound>,
+    ) -> Self {
+        let engine = WavefrontEngine::new(g).with_threads(threads);
+        let ceiling = engine.ceiling();
+        let run = |floor: usize| match strategy {
+            AnchorStrategy::All => engine.run_above(&g.vertices().collect::<Vec<_>>(), floor),
+            AnchorStrategy::Adaptive => engine.run_adaptive_above(floor),
+        };
+        let floor = match incumbent {
+            None => Floor::None(run(0)),
+            Some(inc) => {
+                let f = lemma2_floor(inc.value, s_min);
+                Floor::Incumbent {
+                    incumbent: inc.clone(),
+                    // The floor is below the ceiling here, so it fits in
+                    // `usize`.
+                    run: (ceiling as u64 > f).then(|| run(f as usize)),
+                }
+            }
+        };
+        WavefrontMeasurement {
+            s_min,
+            ceiling,
+            mode: match strategy {
+                AnchorStrategy::All => "",
+                AnchorStrategy::Adaptive => "adaptive: ",
+            },
+            floor,
+        }
+    }
+
+    /// The Lemma-2 bound at `s`: exactly what [`wavefront_bound_above`]
+    /// returns for `s`, value and note.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is below the `s_min` the measurement was taken for.
+    pub(crate) fn bound_at(&self, s: u64) -> IoBound {
+        assert!(
+            s >= self.s_min,
+            "measured for S >= {}, asked for S = {s}",
+            self.s_min
+        );
+        let (run, floor) = match &self.floor {
+            Floor::None(run) => (run, None),
+            Floor::Incumbent { incumbent, run } => {
+                let f = lemma2_floor(incumbent.value, s);
+                match run {
+                    Some(run) if self.ceiling as u64 > f => (run, Some((incumbent, f as usize))),
+                    _ => {
+                        let c = self.ceiling;
+                        return IoBound::new(
+                            0.0,
+                            Method::Wavefront,
+                            format!(
+                                "not run: level-cut ceiling {c} gives 2·({c} − {s}) = {} ≤ {} {}",
+                                lemma2_bound(c, s),
+                                incumbent.method,
+                                incumbent.value
+                            ),
+                        );
+                    }
+                }
+            }
+        };
+        // Note: only the deterministic anchor count goes into the detail
+        // string — `anchors_evaluated` can vary with thread timing (see
+        // `EngineRun`), and this bound is documented as bit-identical at
+        // any thread count.
+        let (mode, anchors) = (self.mode, run.anchors_considered);
+        let best = run
+            .best
+            .as_ref()
+            .filter(|w| floor.is_none_or(|(_, f)| f == 0 || w.size > f));
+        match (best, floor) {
+            (Some(w), _) => IoBound::new(
+                lemma2_bound(w.size, s),
+                Method::Wavefront,
+                format!(
+                    "2·(w^max − S) with w^max = {} at anchor {} ({mode}{anchors} anchors)",
+                    w.size, w.anchor
+                ),
+            ),
+            (None, Some((inc, f))) => IoBound::new(
                 0.0,
                 Method::Wavefront,
                 format!(
-                    "not run: level-cut ceiling {c} gives 2·({c} − {s}) = {} ≤ {} {}",
-                    lemma2_bound(c, s),
+                    "dominated: w^max ≤ floor {f} gives 2·({f} − {s}) = {} ≤ {} {} ({mode}{anchors} anchors)",
+                    lemma2_bound(f, s),
                     inc.method,
                     inc.value
                 ),
-            );
+            ),
+            (None, None) => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
         }
-    }
-    // The floor is below the ceiling here, so it fits in `usize`.
-    let engine_floor = floor.map_or(0, |(_, f)| f as usize);
-    let (run, mode) = match strategy {
-        AnchorStrategy::All => (
-            engine.run_above(&g.vertices().collect::<Vec<_>>(), engine_floor),
-            "",
-        ),
-        AnchorStrategy::Adaptive => (engine.run_adaptive_above(engine_floor), "adaptive: "),
-    };
-    // Note: only the deterministic anchor count goes into the detail
-    // string — `anchors_evaluated` can vary with thread timing (see
-    // `EngineRun`), and this bound is documented as bit-identical at any
-    // thread count.
-    let anchors = run.anchors_considered;
-    match (run.best, floor) {
-        (Some(w), _) => IoBound::new(
-            lemma2_bound(w.size, s),
-            Method::Wavefront,
-            format!(
-                "2·(w^max − S) with w^max = {} at anchor {} ({mode}{anchors} anchors)",
-                w.size, w.anchor
-            ),
-        ),
-        (None, Some((inc, f))) => IoBound::new(
-            0.0,
-            Method::Wavefront,
-            format!(
-                "dominated: w^max ≤ floor {f} gives 2·({f} − {s}) = {} ≤ {} {} ({mode}{anchors} anchors)",
-                lemma2_bound(engine_floor, s),
-                inc.method,
-                inc.value
-            ),
-        ),
-        (None, None) => IoBound::new(0.0, Method::Wavefront, "no anchors".to_string()),
     }
 }
 
@@ -166,6 +278,44 @@ mod tests {
     use crate::games::optimal::{optimal_io, GameKind};
     use dmc_cdag::BitSet;
     use dmc_kernels::chains;
+
+    /// One measurement at `s_min` gives, at every larger `S`, the bound
+    /// a measurement at that `S` gives — value and note, under both
+    /// strategies, without an incumbent and across the winning,
+    /// dominated and not-run regimes with one.
+    #[test]
+    fn one_measurement_gives_the_bound_at_every_larger_s() {
+        let ladder = untagged(&chains::ladder(6, 6));
+        // w^max = 2 (see `two_stage_wavefront_is_constant`) under a wider
+        // level-cut ceiling: with a zero incumbent the floor is F(S) = S,
+        // so the wavefront wins at S = 1 and is dominated from S = 2 up
+        // to the ceiling.
+        let two_stage = untagged(&chains::two_stage(8));
+        let trivial = IoBound::trivial(&ladder);
+        let zero = IoBound::new(0.0, Method::Trivial, "zero".to_string());
+        let mut regimes = std::collections::BTreeSet::new();
+        for (g, incumbent) in [
+            (&ladder, None),
+            (&ladder, Some(&trivial)),
+            (&two_stage, Some(&zero)),
+        ] {
+            for strategy in [AnchorStrategy::All, AnchorStrategy::Adaptive] {
+                let m = WavefrontMeasurement::measure(g, 1, strategy, 2, incumbent);
+                for s in 1..=16 {
+                    let per_s = wavefront_bound_above(g, s, strategy, 1, incumbent);
+                    let b = m.bound_at(s);
+                    assert_eq!((b.value, b.to_string()), (per_s.value, per_s.to_string()));
+                    let note = &b.provenance.note;
+                    let regime = ["not run:", "dominated:"]
+                        .into_iter()
+                        .find(|p| note.starts_with(p))
+                        .unwrap_or("wins");
+                    regimes.insert(regime);
+                }
+            }
+        }
+        assert_eq!(regimes.len(), 3, "{regimes:?}");
+    }
 
     #[test]
     fn lemma2_clamps() {

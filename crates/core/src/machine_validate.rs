@@ -14,19 +14,25 @@
 //! threads with an index-ordered merge so reports stay bit-identical at
 //! any thread count.
 //!
-//! Every level row is still a certified sandwich:
+//! Every level row is still a certified sandwich, judged by the same
+//! [`sandwich_verdict`] as a sweep point:
 //!
 //! ```text
-//! pipeline LB at C_l  ≤  measured(OPT)  ≤  measured(LRU)  ≤  RBW UB at C_l
+//! pipeline LB at C_l  ≤  measured(OPT), measured(LRU)
+//! loads(OPT)  ≤  loads(LRU)
+//! measured(LRU)  =  RBW UB at C_l
 //! ```
 //!
 //! where the RBW UB is the rule checker's count of the recorded LRU game
 //! at `C_l`, exactly as in [`crate::validate`].
 //!
-//! The lower side runs the full portfolio — including the Lemma-2
+//! The lower side is the full portfolio — including the Lemma-2
 //! parallel wavefront bound, whose name surfaces in `lower_method` when
 //! it wins — so the parallel split's traffic is checked against the
-//! paper's parallel lower bound, not just the sequential one. On top of
+//! paper's parallel lower bound, not just the sequential one. It is
+//! measured once per graph, at the smallest effective capacity, and
+//! assembled at each level: exact for the reason [`crate::validate`]
+//! gives, because the capacity only shifts Lemma 2's value. On top of
 //! the sandwich, the report adds the machine verdicts of Equations 7–8:
 //! the DRAM boundary's measured words/FLOP against the machine's
 //! vertical balance (memory-bound / compute-bound / inconclusive), and
@@ -35,8 +41,8 @@
 //! *concrete* round-robin split — an achievability statement, not a
 //! lower bound.
 
-use crate::pipeline::{Analyzer, AnalyzerConfig};
-use crate::validate::{measure_row, trace_json, RowArena};
+use crate::pipeline::Analyzer;
+use crate::validate::{measure_row, sandwich_verdict, trace_json, RowArena};
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::Cdag;
 use dmc_kernels::catalog::{KernelSpec, Registry, SpecError};
@@ -85,24 +91,15 @@ pub struct MachineLevelPoint {
 }
 
 impl MachineLevelPoint {
-    /// The sandwich verdict at this level — same contract as
-    /// [`crate::validate::ValidationPoint::sandwich_ok`].
+    /// The sandwich verdict at this level ([`sandwich_verdict`]): `None`
+    /// when nothing was measured (infeasible level).
     pub fn sandwich_ok(&self) -> Option<bool> {
-        let (opt, lru) = (self.measured_opt.as_ref(), self.measured_lru.as_ref());
-        if opt.is_none() && lru.is_none() {
-            return None;
-        }
-        let mut ok = true;
-        for t in [opt, lru].into_iter().flatten() {
-            ok &= self.certified_lower <= t.io() as f64;
-            if let Some(ub) = self.certified_upper {
-                ok &= t.io() <= ub;
-            }
-        }
-        if let (Some(o), Some(l)) = (opt, lru) {
-            ok &= o.io() <= l.io();
-        }
-        Some(ok)
+        sandwich_verdict(
+            self.certified_lower,
+            self.measured_opt.as_ref(),
+            self.measured_lru.as_ref(),
+            self.certified_upper,
+        )
     }
 }
 
@@ -385,25 +382,42 @@ impl Analyzer {
             ),
         };
         let dram_boundary = caps.len();
+        // The certified lower side: measured once for every level, with
+        // the full thread budget (the result does not depend on it), and
+        // assembled per level.
+        let lower = caps
+            .iter()
+            .map(|&(_, effective)| effective)
+            .min()
+            .map(|s_min| self.measure_portfolio(g, s_min));
+        let required = min_feasible_capacity(g) as u64;
         let workers = self.resolved_threads(caps.len());
-        let levels = fan_out_indexed(caps.len(), workers, RowArena::default, |arena, i| {
-            let (name, effective) = &caps[i];
-            let level = i + 1;
-            let balance = (level == dram_boundary).then(|| machine.vertical_balance());
-            self.machine_level_point(
-                g,
-                &split.order,
-                level,
-                name,
-                h.units(level),
-                h.capacity(level),
-                *effective,
-                balance,
-                flops,
-                policy,
-                arena,
-            )
-        });
+        let levels = match &lower {
+            None => Vec::new(),
+            Some(lower) => fan_out_indexed(caps.len(), workers, RowArena::default, |arena, i| {
+                let (name, effective) = &caps[i];
+                let level = i + 1;
+                let bound = lower.assemble(*effective).bound;
+                let mut point = MachineLevelPoint {
+                    level,
+                    name: name.to_string(),
+                    units: h.units(level),
+                    capacity_words: h.capacity(level),
+                    effective_words: *effective,
+                    certified_lower: bound.value,
+                    lower_method: bound.method.to_string(),
+                    measured_opt: None,
+                    measured_lru: None,
+                    certified_upper: None,
+                    balance_words_per_flop: (level == dram_boundary)
+                        .then(|| machine.vertical_balance()),
+                    verdict: "-".to_string(),
+                    infeasible: None,
+                };
+                measure_level(g, &split.order, &mut point, required, flops, policy, arena);
+                point
+            }),
+        };
         let rpf = split.remote_reads as f64 / flops.max(1.0);
         let network_verdict = if rpf > machine.horizontal_balance() {
             "network-bound".to_string()
@@ -430,81 +444,54 @@ impl Analyzer {
             levels,
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn machine_level_point(
-        &self,
-        g: &Cdag,
-        order: &[dmc_cdag::VertexId],
-        level: usize,
-        name: &str,
-        units: usize,
-        capacity_words: u64,
-        effective: u64,
-        balance: Option<f64>,
-        flops: f64,
-        policy: Option<CachePolicy>,
-        arena: &mut RowArena,
-    ) -> MachineLevelPoint {
-        // The certified lower bound at this boundary's aggregate
-        // capacity — the full portfolio (trivial, wavefront), run
-        // single-threaded inside the per-level worker.
-        let lower = Analyzer::new(AnalyzerConfig {
-            sram: effective,
-            threads: 1,
-            verdicts: false,
-        })
-        .analyze(g)
-        .bound;
-        let required = min_feasible_capacity(g);
-        let mut point = MachineLevelPoint {
-            level,
-            name: name.to_string(),
-            units,
-            capacity_words,
-            effective_words: effective,
-            certified_lower: lower.value,
-            lower_method: lower.method.to_string(),
-            measured_opt: None,
-            measured_lru: None,
-            certified_upper: None,
-            balance_words_per_flop: balance,
-            verdict: "-".to_string(),
-            infeasible: None,
+/// Fills the measured side of `point` (its lower side already set): the
+/// sandwich at its effective capacity unless the schedule needs more
+/// than that (`required` words), and on the DRAM boundary the
+/// Equation-7/8 verdict.
+fn measure_level(
+    g: &Cdag,
+    order: &[dmc_cdag::VertexId],
+    point: &mut MachineLevelPoint,
+    required: u64,
+    flops: f64,
+    policy: Option<CachePolicy>,
+    arena: &mut RowArena,
+) {
+    let effective = point.effective_words;
+    if required > effective {
+        point.infeasible = Some(format!(
+            "aggregate capacity < {required} words (largest in-degree + 1 of the schedule)"
+        ));
+        return;
+    }
+    (
+        point.measured_opt,
+        point.measured_lru,
+        point.certified_upper,
+    ) = measure_row(g, order, effective, policy, arena);
+    if let Some(b) = point.balance_words_per_flop {
+        // Equations 7–8 at this boundary: certified LB/FLOP on the
+        // lower side, the *measured* LRU traffic (an achieved
+        // schedule, hence a valid upper bound) on the upper side.
+        let measured = point
+            .measured_lru
+            .as_ref()
+            .or(point.measured_opt.as_ref())
+            .map(|t| t.io() as f64 / flops.max(1.0));
+        let c = Constraint {
+            lower_words_per_flop: Some(point.certified_lower / flops.max(1.0)),
+            upper_words_per_flop: measured,
         };
-        if (required as u64) > effective {
-            point.infeasible = Some(format!(
-                "aggregate capacity < {required} words (largest in-degree + 1 of the schedule)"
-            ));
-            return point;
-        }
-        (
-            point.measured_opt,
-            point.measured_lru,
-            point.certified_upper,
-        ) = measure_row(g, order, effective, policy, arena);
-        if let Some(b) = balance {
-            // Equations 7–8 at this boundary: certified LB/FLOP on the
-            // lower side, the *measured* LRU traffic (an achieved
-            // schedule, hence a valid upper bound) on the upper side.
-            let measured = point
-                .measured_lru
-                .as_ref()
-                .or(point.measured_opt.as_ref())
-                .map(|t| t.io() as f64 / flops.max(1.0));
-            let c = Constraint {
-                lower_words_per_flop: Some(point.certified_lower / flops.max(1.0)),
-                upper_words_per_flop: measured,
-            };
-            point.verdict = roofline_verdict(c.verdict(b)).to_string();
-        }
-        point
+        point.verdict = roofline_verdict(c.verdict(b)).to_string();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::AnalyzerConfig;
     use dmc_machine::specs;
     use dmc_sim::Simulation;
 

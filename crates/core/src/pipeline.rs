@@ -28,6 +28,24 @@
 //! which theorem was applied with which parameters, and composed nodes
 //! hold their sub-bounds as children.
 //!
+//! # Measurement and assembly
+//!
+//! Steps 1–2 are split by whether they depend on `S`.
+//! [`Analyzer::measure_portfolio`] does everything that does not, once
+//! per graph, for every `S` at or above a given smallest one: the
+//! components and their pieces, each piece's trivial bound (which has no
+//! `S` in it), and each wavefront member's
+//! `WavefrontMeasurement` ([`crate::bounds::mincut`]):
+//! the untagged engine's level-cut ceiling and one engine run floored at
+//! the smallest `S`. [`PortfolioMeasurement::assemble`] does the rest at
+//! one `S`: the Lemma-2 notes and values, the Theorem-3 wrappers, the
+//! Theorem-2 composition and the first-wins choice. The floor
+//! `⌊trivial/2⌋ + S` only grows with `S`, and a floored run returns the
+//! unfloored winner whenever that winner clears the floor, so the
+//! assembly at any larger `S` is byte for byte the analysis at that `S`.
+//! [`Analyzer::analyze`] is the two at its own `S`; the validators
+//! measure once per sweep or machine and assemble per row.
+//!
 //! # Hierarchical mode
 //!
 //! [`Analyzer::analyze_hierarchical`] is the pipeline's scale path for
@@ -47,7 +65,7 @@
 
 use crate::analysis::{analyze, AlgorithmProfile, BalanceReport};
 use crate::bounds::decompose::{decomposition_sum, untag_inputs, untagging_transfer};
-use crate::bounds::mincut::{wavefront_bound_above, AnchorStrategy};
+use crate::bounds::mincut::{AnchorStrategy, WavefrontMeasurement};
 use crate::bounds::{best_lower_bound, lemma1_lower_bound, IoBound, Method};
 use crate::partition::construct::{greedy_partition, topological_clusters};
 use dmc_cdag::coarsen::coarsen;
@@ -456,6 +474,165 @@ impl Serialize for AnalysisReport {
     }
 }
 
+/// The `S`-independent half of the fixed portfolio on one CDAG, from
+/// [`Analyzer::measure_portfolio`]: everything [`Analyzer::analyze`]
+/// computes from the graph, measured once for every `S ≥ s_min`.
+/// [`PortfolioMeasurement::assemble`] is the per-`S` half.
+#[derive(Debug, Clone)]
+pub struct PortfolioMeasurement {
+    /// `|V|`, `|E|`, `|I|` and `|O|` of the measured graph.
+    counts: [usize; 4],
+    component_count: usize,
+    whole: Members,
+    /// Empty for connected graphs.
+    components: Vec<ComponentMeasurement>,
+}
+
+impl PortfolioMeasurement {
+    /// The report [`Analyzer::analyze`] gives at `s` — every candidate,
+    /// note and provenance tree, byte for byte (see
+    /// [`crate::bounds::mincut`] for why one measurement serves every
+    /// `S`) — except that it carries no machine-balance verdicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is below the `s_min` the graph was measured for.
+    pub fn assemble(&self, s: u64) -> AnalysisReport {
+        let whole_graph = self.whole.candidates_at(s);
+        let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
+        let components: Vec<ComponentReport> =
+            self.components.iter().map(|c| c.report_at(s)).collect();
+        let composed = (!components.is_empty()).then(|| {
+            decomposition_sum(
+                &components
+                    .iter()
+                    .map(|c| c.best.clone())
+                    .collect::<Vec<_>>(),
+            )
+        });
+        // The composed bound dominates the baseline on the same anchors
+        // (the trivial bound is additive across components and a
+        // wavefront never spans them), but the adaptive sampler picks its
+        // anchors per graph, so the whole-graph wavefront can still find
+        // a wider one than its component did: take the best, composed
+        // first on ties.
+        let bound = best_lower_bound(
+            composed
+                .iter()
+                .cloned()
+                .chain(best_whole_graph.iter().cloned()),
+        )
+        // dmc-lint: allow(s1) -- the whole-graph portfolio is never empty, so a best element exists
+        .expect("composed or whole-graph best always exists");
+        let [vertices, edges, inputs, outputs] = self.counts;
+        AnalysisReport {
+            vertices,
+            edges,
+            inputs,
+            outputs,
+            sram: s,
+            component_count: self.component_count,
+            components,
+            whole_graph,
+            best_whole_graph,
+            composed,
+            bound,
+            balance: Vec::new(),
+            kernel: None,
+            hierarchy: None,
+        }
+    }
+}
+
+/// One component's measured members plus where it sits in the parent.
+#[derive(Debug, Clone)]
+struct ComponentMeasurement {
+    index: usize,
+    first_vertex: VertexId,
+    vertices: usize,
+    edges: usize,
+    members: Members,
+}
+
+impl ComponentMeasurement {
+    fn report_at(&self, s: u64) -> ComponentReport {
+        let candidates = self.members.candidates_at(s);
+        let best = best_lower_bound(candidates.iter().cloned())
+            // dmc-lint: allow(s1) -- the portfolio always has its two members
+            .expect("portfolio is non-empty by construction");
+        ComponentReport {
+            index: self.index,
+            first_vertex: self.first_vertex,
+            vertices: self.vertices,
+            edges: self.edges,
+            candidates,
+            best,
+        }
+    }
+}
+
+/// The fixed portfolio's two members on one CDAG (the whole graph or one
+/// component): the trivial bound, then the wavefront member.
+#[derive(Debug, Clone)]
+struct Members {
+    trivial: IoBound,
+    wavefront: WavefrontMember,
+}
+
+impl Members {
+    /// The trivial bound comes first and so wins every tie, which makes
+    /// it the wavefront's incumbent (see [`wavefront_bound_above`]): a
+    /// wavefront that cannot strictly beat it is reported as a value-0
+    /// candidate instead of being solved. The winner is the one the
+    /// unfloored wavefront would give.
+    ///
+    /// [`wavefront_bound_above`]: crate::bounds::mincut::wavefront_bound_above
+    fn measure(g: &Cdag, s_min: u64, engine_threads: usize) -> Self {
+        let trivial = IoBound::trivial(g);
+        let wavefront = WavefrontMember::measure(g, s_min, engine_threads, Some(&trivial));
+        Members { trivial, wavefront }
+    }
+
+    fn candidates_at(&self, s: u64) -> Vec<IoBound> {
+        vec![self.trivial.clone(), self.wavefront.bound_at(s)]
+    }
+}
+
+/// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
+/// result is wrapped in the Theorem-3 untagging transfer that makes it
+/// valid for the tagged graph.
+#[derive(Debug, Clone)]
+struct WavefrontMember {
+    lemma2: WavefrontMeasurement,
+    tagged: bool,
+}
+
+impl WavefrontMember {
+    /// `incumbent` is a bound on `g` that wins ties against this one (see
+    /// `wavefront_bound_above`).
+    fn measure(g: &Cdag, s_min: u64, engine_threads: usize, incumbent: Option<&IoBound>) -> Self {
+        WavefrontMember {
+            lemma2: WavefrontMeasurement::measure(
+                &untag_inputs(g),
+                s_min,
+                AnchorStrategy::Adaptive,
+                engine_threads,
+                incumbent,
+            ),
+            tagged: g.num_inputs() > 0,
+        }
+    }
+
+    fn bound_at(&self, s: u64) -> IoBound {
+        let wf = self.lemma2.bound_at(s);
+        if self.tagged {
+            untagging_transfer(&wf)
+        } else {
+            wf
+        }
+    }
+}
+
 /// The unified analysis pipeline over arbitrary CDAGs.
 ///
 /// # Example
@@ -504,61 +681,62 @@ impl Analyzer {
         &self.config
     }
 
-    /// Runs the full pipeline on `g`.
+    /// Runs the full pipeline on `g`: [`Analyzer::measure_portfolio`] at
+    /// this analyzer's `S`, then [`PortfolioMeasurement::assemble`] there.
     pub fn analyze(&self, g: &Cdag) -> AnalysisReport {
+        let s = self.config.sram;
+        let mut report = self.measure_portfolio(g, s).assemble(s);
+        report.balance = self.balance_verdicts(g, report.bound.value);
+        report
+    }
+
+    /// Measures everything the fixed portfolio needs from `g` that does
+    /// not depend on `S`, once, for every `S ≥ s_min`: the
+    /// weakly-connected components and their induced pieces, and for the
+    /// whole graph and each piece the trivial bound and the wavefront
+    /// member's Lemma-2 measurement (the engine's ceiling and one run
+    /// floored at `s_min`; see [`crate::bounds::mincut`]).
+    /// [`PortfolioMeasurement::assemble`] then gives the portfolio at any
+    /// such `S` without touching the graph.
+    ///
+    /// The whole-graph member gets this analyzer's full thread budget
+    /// (the engine parallelizes internally); components fan out over
+    /// scoped workers that split it. No result depends on the budget.
+    ///
+    /// ```
+    /// use dmc_core::pipeline::{Analyzer, AnalyzerConfig};
+    ///
+    /// let g = dmc_kernels::chains::independent_chains(2, 3);
+    /// let m = Analyzer::with_defaults().measure_portfolio(&g, 2);
+    /// for s in [2, 3, 64] {
+    ///     let per_s = Analyzer::new(AnalyzerConfig { sram: s, ..AnalyzerConfig::default() });
+    ///     assert_eq!(m.assemble(s).bound.to_string(), per_s.analyze(&g).bound.to_string());
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s_min` is 0.
+    pub fn measure_portfolio(&self, g: &Cdag, s_min: u64) -> PortfolioMeasurement {
+        assert!(s_min >= 1, "S must be at least 1");
         let comps = weakly_connected_components(g);
-
-        // Whole-graph portfolio: the comparison baseline. Gets the full
-        // thread budget (the engine parallelizes internally).
-        let whole_graph = self.portfolio(g, self.config.threads);
-        let best_whole_graph = best_lower_bound(whole_graph.iter().cloned());
-
-        let (components, composed) = if comps.count > 1 {
+        let whole = Members::measure(g, s_min, self.config.threads);
+        let components = if comps.count > 1 {
             let pieces = subgraph::decompose(g, &comps.assignment, comps.count);
-            let components = self.analyze_components(&pieces);
-            let composed = decomposition_sum(
-                &components
-                    .iter()
-                    .map(|c| c.best.clone())
-                    .collect::<Vec<_>>(),
-            );
-            (components, Some(composed))
+            self.measure_components(&pieces, s_min)
         } else {
-            (Vec::new(), None)
+            Vec::new()
         };
-
-        // The composed bound dominates the baseline on the same anchors
-        // (the trivial bound is additive across components and a
-        // wavefront never spans them), but the adaptive sampler picks its
-        // anchors per graph, so the whole-graph wavefront can still find
-        // a wider one than its component did: take the best, composed
-        // first on ties.
-        let bound = best_lower_bound(
-            composed
-                .iter()
-                .cloned()
-                .chain(best_whole_graph.iter().cloned()),
-        )
-        // dmc-lint: allow(s1) -- the whole-graph portfolio is never empty, so a best element exists
-        .expect("composed or whole-graph best always exists");
-
-        let balance = self.balance_verdicts(g, bound.value);
-
-        AnalysisReport {
-            vertices: g.num_vertices(),
-            edges: g.num_edges(),
-            inputs: g.num_inputs(),
-            outputs: g.num_outputs(),
-            sram: self.config.sram,
+        PortfolioMeasurement {
+            counts: [
+                g.num_vertices(),
+                g.num_edges(),
+                g.num_inputs(),
+                g.num_outputs(),
+            ],
             component_count: comps.count,
+            whole,
             components,
-            whole_graph,
-            best_whole_graph,
-            composed,
-            bound,
-            balance,
-            kernel: None,
-            hierarchy: None,
         }
     }
 
@@ -657,8 +835,11 @@ impl Analyzer {
             .collect();
         let composed =
             decomposition_sum(&clusters.iter().map(|c| c.best.clone()).collect::<Vec<_>>());
-        let whole_wavefront = (n <= WHOLE_WAVEFRONT_LIMIT)
-            .then(|| self.wavefront_bound(g, self.resolved_threads(usize::MAX), None));
+        let whole_wavefront = (n <= WHOLE_WAVEFRONT_LIMIT).then(|| {
+            let threads = self.resolved_threads(usize::MAX);
+            let s = self.config.sram;
+            WavefrontMember::measure(g, s, threads, None).bound_at(s)
+        });
         let bound = best_lower_bound(
             std::iter::once(composed.clone()).chain(whole_wavefront.iter().cloned()),
         )
@@ -741,10 +922,14 @@ impl Analyzer {
             .collect()
     }
 
-    /// Fans per-component analyses out over scoped workers
-    /// ([`fan_out_indexed`]); the index-ordered merge keeps the report
-    /// bit-identical at any thread count.
-    fn analyze_components(&self, pieces: &[InducedSubCdag]) -> Vec<ComponentReport> {
+    /// Fans the per-component measurements out over scoped workers
+    /// ([`fan_out_indexed`]); the index-ordered merge keeps every
+    /// assembly bit-identical at any thread count.
+    fn measure_components(
+        &self,
+        pieces: &[InducedSubCdag],
+        s_min: u64,
+    ) -> Vec<ComponentMeasurement> {
         let total = self.resolved_threads(usize::MAX);
         let workers = total.clamp(1, pieces.len());
         // Split the budget: more threads than components means each
@@ -756,67 +941,17 @@ impl Analyzer {
             pieces.len(),
             workers,
             || (),
-            |_, i| self.component_report(i, &pieces[i], engine_threads),
+            |_, i| {
+                let piece = &pieces[i];
+                ComponentMeasurement {
+                    index: i,
+                    first_vertex: piece.parent_of(VertexId(0)),
+                    vertices: piece.cdag.num_vertices(),
+                    edges: piece.cdag.num_edges(),
+                    members: Members::measure(&piece.cdag, s_min, engine_threads),
+                }
+            },
         )
-    }
-
-    fn component_report(
-        &self,
-        index: usize,
-        piece: &InducedSubCdag,
-        engine_threads: usize,
-    ) -> ComponentReport {
-        let candidates = self.portfolio(&piece.cdag, engine_threads);
-        let best = best_lower_bound(candidates.iter().cloned())
-            // dmc-lint: allow(s1) -- the portfolio always has its two members
-            .expect("portfolio is non-empty by construction");
-        ComponentReport {
-            index,
-            first_vertex: piece.parent_of(VertexId(0)),
-            vertices: piece.cdag.num_vertices(),
-            edges: piece.cdag.num_edges(),
-            candidates,
-            best,
-        }
-    }
-
-    /// Runs the method portfolio on one CDAG: the trivial bound, then the
-    /// wavefront member.
-    ///
-    /// The trivial bound comes first and so wins every tie, which makes it
-    /// the wavefront's incumbent (see [`wavefront_bound_above`]): a
-    /// wavefront that cannot strictly beat it is reported as a value-0
-    /// candidate instead of being solved. The winner is the one the
-    /// unfloored wavefront would give.
-    fn portfolio(&self, g: &Cdag, engine_threads: usize) -> Vec<IoBound> {
-        let trivial = IoBound::trivial(g);
-        let wavefront = self.wavefront_bound(g, engine_threads, Some(&trivial));
-        vec![trivial, wavefront]
-    }
-
-    /// Lemma 2 on the untagged CDAG; when the graph had tagged inputs the
-    /// result is wrapped in the Theorem-3 untagging transfer that makes
-    /// it valid for the tagged graph. `incumbent` is a bound on `g` that
-    /// wins ties against this one (see [`wavefront_bound_above`]).
-    fn wavefront_bound(
-        &self,
-        g: &Cdag,
-        engine_threads: usize,
-        incumbent: Option<&IoBound>,
-    ) -> IoBound {
-        let untagged = untag_inputs(g);
-        let wf = wavefront_bound_above(
-            &untagged,
-            self.config.sram,
-            AnchorStrategy::Adaptive,
-            engine_threads,
-            incumbent,
-        );
-        if g.num_inputs() > 0 {
-            untagging_transfer(&wf)
-        } else {
-            wf
-        }
     }
 
     pub(crate) fn resolved_threads(&self, work_items: usize) -> usize {

@@ -17,29 +17,42 @@
 //!    ([`Simulation::run_recorded`]) and replayed through the independent
 //!    RBW rule checker
 //!    [`rbw::validate`](crate::games::rbw::validate), whose count is the
-//!    certified upper bound.
+//!    certified upper bound. The lower side is measured once per graph,
+//!    at the sweep's smallest `S` ([`Analyzer::measure_portfolio`]), and
+//!    assembled at each point ([`PortfolioMeasurement::assemble`]). That
+//!    is exact, not an approximation: the trivial bound does not depend
+//!    on `S`, and `S` only shifts Lemma 2's value `2·(w − S)`, so one
+//!    engine run floored at the smallest `S` gives the wavefront member
+//!    at every larger one (see [`crate::bounds::mincut`]).
 //!
-//! Because every simulated run corresponds to a valid RBW game, the
-//! sandwich invariant
+//! Every simulated run is a valid RBW game, and both runs play the same
+//! schedule, so at every feasible sweep point
 //!
 //! ```text
-//! certified lower ≤ measured(OPT) ≤ measured(LRU) ≤ certified upper
+//! certified lower ≤ measured(OPT), measured(LRU)
+//! loads(OPT) ≤ loads(LRU)                      (Belady's MIN)
+//! measured(LRU) = certified upper              (the replayed LRU game)
 //! ```
 //!
-//! must hold at every feasible sweep point; [`ValidationReport`] records
-//! it per point (text and JSON) and [`ValidationReport::sandwich_holds`]
-//! asserts it wholesale. The kernel's closed-form analytic upper bound is
-//! rendered next to the measurements when the catalog provides one, but —
-//! like the analytic lower bound in [`crate::pipeline`] — it is never
-//! merged into the certified sandwich.
+//! must hold ([`sandwich_verdict`]). OPT's loads plus stores may exceed
+//! LRU's, so `measured(OPT) ≤ measured(LRU)` is not part of it.
+//! [`ValidationReport`] records the verdict per point (text and JSON) and
+//! [`ValidationReport::sandwich_holds`] asserts it wholesale. The
+//! kernel's closed-form analytic upper bound is rendered next to the
+//! measurements when the catalog provides one, but — like the analytic
+//! lower bound in [`crate::pipeline`] — it is never merged into the
+//! certified sandwich.
+//!
+//! [`PortfolioMeasurement::assemble`]: crate::pipeline::PortfolioMeasurement::assemble
 //!
 //! Sweep points fan out over `std::thread::scope` workers (one simulator
 //! arena per worker) with an index-ordered merge, so reports are
 //! **bit-identical at any thread count**.
 
+use crate::bounds::IoBound;
 use crate::games::executor::certify;
 use crate::games::GameTrace;
-use crate::pipeline::{Analyzer, AnalyzerConfig};
+use crate::pipeline::Analyzer;
 use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::topo::is_valid_topological_order;
 use dmc_cdag::{Cdag, VertexId};
@@ -80,26 +93,62 @@ pub struct ValidationPoint {
 }
 
 impl ValidationPoint {
-    /// The sandwich verdict at this point: `None` when nothing was
-    /// measured (infeasible `S`), otherwise whether every available link
-    /// of `lower ≤ measured(OPT) ≤ measured(LRU) ≤ upper` holds.
+    /// The sandwich verdict at this point ([`sandwich_verdict`]): `None`
+    /// when nothing was measured (infeasible `S`).
     pub fn sandwich_ok(&self) -> Option<bool> {
-        let (opt, lru) = (self.measured_opt.as_ref(), self.measured_lru.as_ref());
-        if opt.is_none() && lru.is_none() {
-            return None;
-        }
-        let mut ok = true;
-        for t in [opt, lru].into_iter().flatten() {
-            ok &= self.certified_lower <= t.io() as f64;
-            if let Some(ub) = self.certified_upper {
-                ok &= t.io() <= ub;
-            }
-        }
-        if let (Some(o), Some(l)) = (opt, lru) {
-            ok &= o.io() <= l.io();
-        }
-        Some(ok)
+        sandwich_verdict(
+            self.certified_lower,
+            self.measured_opt.as_ref(),
+            self.measured_lru.as_ref(),
+            self.certified_upper,
+        )
     }
+}
+
+/// The sandwich verdict of one measured row — a sweep point or a machine
+/// level: `None` when neither policy was measured, otherwise whether
+/// every link whose two sides were measured holds:
+///
+/// 1. `lower ≤ io` for each measured trace. Every simulated run is a
+///    valid RBW game on the same CDAG, and `lower` bounds every such game.
+/// 2. `LRU(io) = upper`. The upper bound is the RBW validator's count of
+///    the recorded LRU game, which is the LRU run itself.
+/// 3. `OPT(loads) ≤ LRU(loads)`. Both runs play the same schedule in the
+///    same capacity, so they see the same sequence of reads: each step
+///    reads its predecessors, pinned together while it fires. A load is
+///    a miss on one of those reads or an input's first fire, which every
+///    policy pays alike; a computed value's first fire costs none, and a
+///    free delete only drops a value that is never read again. OPT
+///    evicts the resident whose next read is furthest away (the pinned
+///    predecessors' is the current step, the nearest). Belady's MIN
+///    argument shows that this rule misses least among all eviction
+///    rules on a fixed sequence of reads.
+///
+/// `OPT(io) ≤ LRU(io)` is *not* checked, because it is not a theorem.
+/// MIN minimizes loads, not loads plus stores. It may evict an unsaved
+/// live value, paying a store that LRU, keeping the value, would not
+/// pay. For example, `cg(n=16,d=2,t=2)` on its kernel schedule at
+/// S = 1,024 measures OPT at 2,053 words against LRU's 1,937.
+pub fn sandwich_verdict(
+    lower: f64,
+    opt: Option<&Trace>,
+    lru: Option<&Trace>,
+    upper: Option<u64>,
+) -> Option<bool> {
+    if opt.is_none() && lru.is_none() {
+        return None;
+    }
+    let mut ok = [opt, lru]
+        .into_iter()
+        .flatten()
+        .all(|t| lower <= t.io() as f64);
+    if let (Some(l), Some(ub)) = (lru, upper) {
+        ok &= l.io() == ub;
+    }
+    if let (Some(o), Some(l)) = (opt, lru) {
+        ok &= o.loads <= l.loads;
+    }
+    Some(ok)
 }
 
 /// Per-worker scratch of the sandwich measurements: the simulator arena
@@ -226,8 +275,8 @@ impl fmt::Display for ValidationReport {
         )?;
         writeln!(
             f,
-            "sandwich: certified LB <= measured OPT <= measured LRU <= certified UB \
-             (RBW executor, same schedule)"
+            "sandwich: certified LB <= measured OPT, LRU; OPT loads <= LRU loads (MIN); \
+             LRU == certified UB (RBW executor, same schedule)"
         )?;
         writeln!(
             f,
@@ -336,10 +385,22 @@ impl Analyzer {
         srams: &[u64],
         policy: Option<CachePolicy>,
     ) -> ValidationReport {
+        // The certified lower side: measured once for the whole sweep,
+        // with the full thread budget (the result does not depend on it),
+        // and assembled per point.
+        let lower = srams
+            .iter()
+            .min()
+            .map(|&s_min| self.measure_portfolio(g, s_min));
+        let required = min_feasible_capacity(g) as u64;
         let workers = self.resolved_threads(srams.len());
-        let points = fan_out_indexed(srams.len(), workers, RowArena::default, |arena, i| {
-            self.validation_point(spec, g, srams[i], policy, arena)
-        });
+        let points = match &lower {
+            None => Vec::new(),
+            Some(lower) => fan_out_indexed(srams.len(), workers, RowArena::default, |arena, i| {
+                let s = srams[i];
+                validation_point(spec, g, s, lower.assemble(s).bound, required, policy, arena)
+            }),
+        };
         ValidationReport {
             spec: spec.render(),
             vertices: g.num_vertices(),
@@ -349,67 +410,60 @@ impl Analyzer {
             points,
         }
     }
+}
 
-    fn validation_point(
-        &self,
-        spec: &KernelSpec<'_>,
-        g: &Cdag,
-        s: u64,
-        policy: Option<CachePolicy>,
-        arena: &mut RowArena,
-    ) -> ValidationPoint {
-        let sched = spec.schedule_source(g, s);
-        assert!(
-            is_valid_topological_order(g, &sched.order),
-            "kernel '{}' emitted a schedule ('{}') that is not a topological order",
-            spec.render(),
-            sched.note
-        );
-        // The certified lower bound at this S: the full pipeline, run
-        // single-threaded inside the per-point worker (the outer fan-out
-        // owns the parallelism; the result is thread-invariant anyway).
-        let lower = Analyzer::new(AnalyzerConfig {
-            sram: s,
-            threads: 1,
-            verdicts: false,
-        })
-        .analyze(g)
-        .bound;
-        let analytic_upper = spec
-            .kernel()
-            .analytic_upper_bound(spec.values(), s)
-            .map(|a| a.value);
-        let required = min_feasible_capacity(g);
-        let mut point = ValidationPoint {
-            sram: s,
-            certified_lower: lower.value,
-            lower_method: lower.method.to_string(),
-            measured_opt: None,
-            measured_lru: None,
-            certified_upper: None,
-            analytic_upper,
-            schedule_note: sched.note,
-            infeasible: None,
-        };
-        if (required as u64) > s {
-            point.infeasible = Some(format!(
-                "S < {required} words (largest in-degree + 1 of the schedule)"
-            ));
-            return point;
-        }
-        (
-            point.measured_opt,
-            point.measured_lru,
-            point.certified_upper,
-        ) = measure_row(g, &sched.order, s, policy, arena);
-        point
+/// One sweep point at capacity `s` with certified lower bound `lower`;
+/// the schedule cannot run below `required` words.
+fn validation_point(
+    spec: &KernelSpec<'_>,
+    g: &Cdag,
+    s: u64,
+    lower: IoBound,
+    required: u64,
+    policy: Option<CachePolicy>,
+    arena: &mut RowArena,
+) -> ValidationPoint {
+    let sched = spec.schedule_source(g, s);
+    assert!(
+        is_valid_topological_order(g, &sched.order),
+        "kernel '{}' emitted a schedule ('{}') that is not a topological order",
+        spec.render(),
+        sched.note
+    );
+    let analytic_upper = spec
+        .kernel()
+        .analytic_upper_bound(spec.values(), s)
+        .map(|a| a.value);
+    let mut point = ValidationPoint {
+        sram: s,
+        certified_lower: lower.value,
+        lower_method: lower.method.to_string(),
+        measured_opt: None,
+        measured_lru: None,
+        certified_upper: None,
+        analytic_upper,
+        schedule_note: sched.note,
+        infeasible: None,
+    };
+    if required > s {
+        point.infeasible = Some(format!(
+            "S < {required} words (largest in-degree + 1 of the schedule)"
+        ));
+        return point;
     }
+    (
+        point.measured_opt,
+        point.measured_lru,
+        point.certified_upper,
+    ) = measure_row(g, &sched.order, s, policy, arena);
+    point
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::games::rbw;
+    use crate::pipeline::AnalyzerConfig;
 
     fn analyzer(threads: usize) -> Analyzer {
         Analyzer::new(AnalyzerConfig {
@@ -524,6 +578,39 @@ mod tests {
                 "@ {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn the_verdict_checks_three_links() {
+        let trace = |loads, stores| Trace {
+            loads,
+            stores,
+            ..Trace::default()
+        };
+        let (opt, lru) = (trace(5, 3), trace(5, 2));
+        // OPT's I/O above LRU's is no violation; equal loads are fine.
+        assert_eq!(
+            sandwich_verdict(7.0, Some(&opt), Some(&lru), Some(7)),
+            Some(true)
+        );
+        // Each link on its own: LB above a measurement, LRU(io) off the
+        // certified count, OPT loading more than LRU.
+        assert_eq!(
+            sandwich_verdict(7.5, Some(&opt), Some(&lru), Some(7)),
+            Some(false)
+        );
+        assert_eq!(
+            sandwich_verdict(7.0, Some(&opt), Some(&lru), Some(8)),
+            Some(false)
+        );
+        let greedy = trace(6, 0);
+        assert_eq!(
+            sandwich_verdict(6.0, Some(&greedy), Some(&lru), Some(7)),
+            Some(false)
+        );
+        // Only the links whose sides were measured are judged.
+        assert_eq!(sandwich_verdict(7.0, Some(&opt), None, Some(2)), Some(true));
+        assert_eq!(sandwich_verdict(7.0, None, None, Some(7)), None);
     }
 
     #[test]

@@ -44,17 +44,21 @@
 //!   is touched at once after it is placed and ticks are unique, so list
 //!   order *is* last-touch order: the victim is the first value from the
 //!   head that is not pinned.
-//! * **OPT heap.** Under OPT the resident list is kept as a binary
-//!   max-heap by the key `(next use, Reverse(id))`, whose maximum is the
-//!   furthest next use, then the smaller id. A key changes only when a
-//!   value's use is retired, and the value is resident then. The heap's
-//!   root is never pinned: a pinned predecessor's next use is the current
-//!   step, and every other resident's is later.
+//! * **OPT heap.** Under OPT the resident list becomes a binary max-heap
+//!   by the key `(next use, Reverse(id))`, whose maximum is the furthest
+//!   next use, then the smaller id. A key changes only when a value's use
+//!   is retired, and the value is resident then. The heap's root is never
+//!   pinned: a pinned predecessor's next use is the current step, and
+//!   every other resident's is later. The list is left unordered until
+//!   the cache first has to evict, and is heapified then, so a run that
+//!   never evicts never orders it.
 //!
 //! An LRU touch, eviction or delete costs O(1), past skipping at most
-//! `in_degree + 1` pinned values; an OPT key update, eviction or delete
-//! costs O(log S). Debug builds re-derive every victim with the linear
-//! scan these structures replace and assert that the two agree.
+//! `in_degree + 1` pinned values. An OPT key update or delete costs O(1)
+//! before the first eviction, which costs O(S) once, and O(log S) from
+//! then on, as does every later eviction. Debug builds re-derive every
+//! victim with the linear scan these structures replace and assert that
+//! the two agree.
 //!
 //! No hash-map iteration is involved anywhere, so traces are reproducible
 //! across runs, processes, and thread counts.
@@ -124,7 +128,8 @@ pub enum CachePolicy {
     Lru,
     /// Furthest-next-use eviction (Belady/MIN) for the fixed schedule —
     /// the offline *replacement* optimum, a proxy for the best the
-    /// hierarchy could do on this schedule.
+    /// hierarchy could do on this schedule. It minimizes loads, not loads
+    /// plus stores: it may evict an unsaved value that LRU keeps.
     Opt,
 }
 
@@ -232,8 +237,11 @@ pub struct Simulation {
     cursor: Vec<u32>,
     pos: Vec<u32>,
     /// The residents; a binary max-heap by [`Simulation::opt_key`] under
-    /// OPT, unordered under LRU.
+    /// OPT once `heap_ordered`, unordered otherwise.
     resident_list: Vec<VertexId>,
+    /// Under OPT, whether `resident_list` is a heap yet: it is heapified
+    /// when [`Simulation::make_room`] first has to evict.
+    heap_ordered: bool,
     /// Each resident's index in `resident_list`.
     slot: Vec<u32>,
     /// Under LRU, the residents in touch order, oldest at `lru_head`.
@@ -449,6 +457,7 @@ impl Simulation {
         self.pos.clear();
         self.pos.resize(n, u32::MAX);
         self.resident_list.clear();
+        self.heap_ordered = false;
         self.slot.clear();
         self.slot.resize(n, NIL);
         self.lru_prev.clear();
@@ -484,7 +493,8 @@ impl Simulation {
         self.resident_list.push(v);
         match policy {
             CachePolicy::Lru => self.lru_push_back(v),
-            CachePolicy::Opt => self.sift_up(self.resident_list.len() - 1),
+            CachePolicy::Opt if self.heap_ordered => self.sift_up(self.resident_list.len() - 1),
+            CachePolicy::Opt => {}
         }
     }
 
@@ -500,7 +510,7 @@ impl Simulation {
         self.resident_list.swap_remove(at);
         if let Some(&moved) = self.resident_list.get(at) {
             self.slot[moved.index()] = at as u32;
-            if policy == CachePolicy::Opt {
+            if policy == CachePolicy::Opt && self.heap_ordered {
                 self.sift_up(at);
                 self.sift_down(self.slot[moved.index()] as usize);
             }
@@ -520,7 +530,11 @@ impl Simulation {
         while lo + *c < hi && self.use_pos[(lo + *c) as usize] <= step {
             *c += 1;
         }
-        if policy == CachePolicy::Opt && *c != before && self.resident[p.index()] {
+        if policy == CachePolicy::Opt
+            && self.heap_ordered
+            && *c != before
+            && self.resident[p.index()]
+        {
             self.sift_up(self.slot[p.index()] as usize);
         }
     }
@@ -538,6 +552,14 @@ impl Simulation {
     /// OPT's eviction key: furthest next use first, then the smaller id.
     fn opt_key(&self, u: VertexId) -> (u32, Reverse<VertexId>) {
         (self.next_use(u), Reverse(u))
+    }
+
+    /// Orders the resident list into the OPT heap, bottom-up in O(S).
+    fn heapify(&mut self) {
+        for at in (0..self.resident_list.len() / 2).rev() {
+            self.sift_down(at);
+        }
+        self.heap_ordered = true;
     }
 
     /// Moves the heap entry at `at` toward the root past smaller keys.
@@ -623,6 +645,9 @@ impl Simulation {
         record: &mut impl FnMut(Move),
     ) {
         while self.resident_list.len() >= cap {
+            if policy == CachePolicy::Opt && !self.heap_ordered {
+                self.heapify();
+            }
             let victim = self.choose_victim(pinned, v, policy);
             let live = self.remaining[victim.index()] > 0 || g.is_output(victim);
             if live && !self.saved[victim.index()] {
@@ -1079,6 +1104,85 @@ mod tests {
             let t = sim.run_recorded(&g, &order, policy, 3, &mut got).unwrap();
             assert_eq!(got, want, "{policy}");
             assert_eq!(t.io(), io, "{policy}");
+        }
+    }
+
+    #[test]
+    fn opt_heapifies_the_residents_when_the_cache_first_fills() {
+        // Inputs a, e, b, c; p = f(a, e), q = f(a, c) (output), r = f(b),
+        // t = f(p, r) (output), in S = 4 and order a e b p c q r t. The
+        // first five steps fill the cache without evicting: p's fire
+        // retires one of a's uses and frees e, which moves p into e's
+        // slot, so the unordered residents read a, p, b, c. Firing q must
+        // evict one of b (next read at r) and p (next read at t): OPT
+        // takes p from the middle of the freshly heapified list, LRU takes
+        // b, the oldest touch. OPT pays a store for p that LRU does not:
+        // 8 words against 7, on equal loads.
+        let mut bld = dmc_cdag::CdagBuilder::new();
+        let [a, e, b, c] = ["a", "e", "b", "c"].map(|l| bld.add_input(l));
+        let p = bld.add_op("p", &[a, e]);
+        let q = bld.add_op("q", &[a, c]);
+        let r = bld.add_op("r", &[b]);
+        let t = bld.add_op("t", &[p, r]);
+        bld.tag_output(q);
+        bld.tag_output(t);
+        let g = bld.build_valid("first fill");
+        let order = [a, e, b, p, c, q, r, t];
+        use Move::{Compute, Delete, Load, Store};
+        let opt = [
+            Load(a),
+            Load(e),
+            Load(b),
+            Compute(p),
+            Delete(e),
+            Load(c),
+            Store(p),
+            Delete(p),
+            Compute(q),
+            Delete(a),
+            Delete(c),
+            Compute(r),
+            Delete(b),
+            Load(p),
+            Compute(t),
+            Delete(p),
+            Delete(r),
+            Store(q),
+            Store(t),
+        ];
+        let lru = [
+            Load(a),
+            Load(e),
+            Load(b),
+            Compute(p),
+            Delete(e),
+            Load(c),
+            Delete(b),
+            Compute(q),
+            Delete(a),
+            Delete(c),
+            Load(b),
+            Compute(r),
+            Delete(b),
+            Compute(t),
+            Delete(p),
+            Delete(r),
+            Store(q),
+            Store(t),
+        ];
+        let mut sim = Simulation::new();
+        let mut got = Vec::new();
+        for (policy, want, (loads, stores)) in [
+            (CachePolicy::Opt, &opt[..], (5, 3)),
+            (CachePolicy::Lru, &lru[..], (5, 2)),
+        ] {
+            let t = sim.run_recorded(&g, &order, policy, 4, &mut got).unwrap();
+            assert_eq!(got, want, "{policy}");
+            assert_eq!(
+                (t.loads, t.stores, t.evictions),
+                (loads, stores, 1),
+                "{policy}"
+            );
         }
     }
 

@@ -32,7 +32,7 @@ fn main() {
     println!("{validation}");
     assert!(
         validation.sandwich_holds(),
-        "LB <= OPT <= LRU <= UB must hold at every S"
+        "LB <= OPT and LRU, OPT loads <= LRU loads, LRU == UB must hold at every S"
     );
     println!("the sandwich holds at every S.");
 }

@@ -1,9 +1,11 @@
 //! End-to-end tests of the unified bound-analysis pipeline: the
 //! acceptance scenario on the shipped composite, Theorem-2 additivity on
 //! disjoint unions, the two-member, trivial-floored portfolio against
-//! every method computed in full on every registry kernel, and property
-//! tests on random layered DAGs (RBW sandwich, thread-count invariance,
-//! and the 2S-counting bound's domination by the trivial bound).
+//! every method computed in full on every registry kernel, one
+//! S-independent measurement against per-S analysis, and property tests
+//! on random layered DAGs (RBW sandwich, thread-count invariance, the
+//! 2S-counting bound's domination by the trivial bound, and measurement
+//! reuse across S).
 
 use dmc::cdag::builder::disjoint_union;
 use dmc::cdag::components::weakly_connected_components;
@@ -14,7 +16,7 @@ use dmc::core::bounds::decompose::{decomposition_sum, untag_inputs, untagging_tr
 use dmc::core::bounds::mincut::{auto_wavefront_bound_with, AnchorStrategy};
 use dmc::core::bounds::{best_lower_bound, IoBound, Method};
 use dmc::core::games::optimal::{optimal_io, GameKind};
-use dmc::core::pipeline::{partition2s_bound, Analyzer, AnalyzerConfig};
+use dmc::core::pipeline::{partition2s_bound, AnalysisReport, Analyzer, AnalyzerConfig};
 use dmc::kernels::catalog::Registry;
 use dmc::kernels::chains;
 use dmc::kernels::random::{random_layered, RandomDagConfig};
@@ -132,13 +134,25 @@ fn check_candidates(got: &[IoBound], full: &[IoBound], what: &str) -> IoBound {
     expected
 }
 
+/// The report assembled from a measurement is the per-S analysis, in
+/// `Display` and JSON (the analyzers here report no verdicts).
+fn assert_assembly_matches(got: &AnalysisReport, report: &AnalysisReport, what: &str) {
+    assert_eq!(got.to_string(), report.to_string(), "{what}");
+    assert_eq!(
+        serde::json::to_string(got),
+        serde::json::to_string(report),
+        "{what}"
+    );
+}
+
 /// Neither the trivial-incumbent floor nor leaving out the 2S-counting
 /// bound changes what the pipeline certifies: on every registry kernel
 /// at default parameters and S ∈ {4, 64, 1024}, the final bound's value
 /// and method equal the first-wins best of the three methods computed in
 /// full (composed over components where the pipeline composes), and
 /// every wavefront candidate that is not dominated is byte-equal to the
-/// unfloored one.
+/// unfloored one. Nor does measuring once: the portfolio assembled at
+/// each S from one measurement at S = 4 is the per-S analysis.
 #[test]
 fn incumbent_floor_matches_the_full_portfolio_on_the_registry() {
     let registry = Registry::shared();
@@ -146,9 +160,11 @@ fn incumbent_floor_matches_the_full_portfolio_on_the_registry() {
         let g = registry.defaults(name).expect("default spec").build();
         let comps = weakly_connected_components(&g);
         let pieces = subgraph::decompose(&g, &comps.assignment, comps.count);
+        let measured = analyzer(4, 1).measure_portfolio(&g, 4);
         for s in [4u64, 64, 1024] {
             let what = format!("{name} @ S = {s}");
             let report = analyzer(s, 1).analyze(&g);
+            assert_assembly_matches(&measured.assemble(s), &report, &what);
             let whole = check_candidates(&report.whole_graph, &full_portfolio(&g, s), &what);
             let composed = (!report.components.is_empty()).then(|| {
                 let bests: Vec<IoBound> = report
@@ -169,6 +185,33 @@ fn incumbent_floor_matches_the_full_portfolio_on_the_registry() {
             let two = analyzer(s, 2).analyze(&g);
             assert_eq!(two.to_string(), report.to_string(), "{what} @ 2 threads");
         }
+    }
+}
+
+/// `cg(n=16,d=2,t=2)` crosses all three wavefront regimes between
+/// S = 256 and S = 1,280: the engine's winner (w^max = 1,026) beats the
+/// trivial bound through S = 512, it is dominated at 640 and 768, and
+/// from 896 on the level-cut ceiling (1,408) rules the engine out. One
+/// measurement at S = 256 assembles each S's portfolio exactly as the
+/// per-S analysis gives it.
+#[test]
+fn one_measurement_serves_all_three_wavefront_regimes() {
+    let spec = Registry::shared()
+        .parse("cg(n=16,d=2,t=2)")
+        .expect("valid spec");
+    let g = spec.build();
+    let measured = analyzer(256, 2).measure_portfolio(&g, 256);
+    for s in (256..=1280).step_by(128) {
+        let what = format!("S = {s}");
+        let report = analyzer(s, 1).analyze(&g);
+        assert_assembly_matches(&measured.assemble(s), &report, &what);
+        let note = &lemma2_leaf(&report.whole_graph[1]).provenance.note;
+        let regime = match s {
+            ..=512 => "2·(w^max − S) with w^max = 1026 at anchor",
+            640..=768 => "dominated: w^max ≤ floor",
+            _ => "not run: level-cut ceiling 1408",
+        };
+        assert!(note.starts_with(regime), "{what}: {note}");
     }
 }
 
@@ -256,6 +299,36 @@ proptest! {
         for s in [1, 2, s, u64::MAX] {
             let p = partition2s_bound(&g, s).value;
             prop_assert!(p < t || (p == 0.0 && t == 0.0), "2S {p} vs trivial {t} at S = {s}");
+        }
+    }
+
+    /// One measurement serves a whole set of capacities: on a union of
+    /// three random DAGs, each kept tagged or untagged at random, the
+    /// portfolio assembled from one measurement at the set's smallest S
+    /// equals the per-S analysis at every S of the set — which holds 1
+    /// and `u64::MAX` — and so does one taken at the smallest S above 1.
+    #[test]
+    fn one_measurement_matches_per_s_analysis(
+        parts in proptest::collection::vec(arb_cdag(), 3),
+        untag in proptest::collection::vec(0u8..2, 3),
+        extra in proptest::collection::vec(2u64..4096, 3)
+    ) {
+        let parts: Vec<Cdag> = parts
+            .iter()
+            .zip(&untag)
+            .map(|(g, &u)| if u == 1 { untag_inputs(g) } else { g.clone() })
+            .collect();
+        let g = disjoint_union(&parts);
+        let mut srams = vec![1, u64::MAX];
+        srams.extend(&extra);
+        let reports: Vec<(u64, AnalysisReport)> =
+            srams.iter().map(|&s| (s, analyzer(s, 1).analyze(&g))).collect();
+        let s_above_1 = extra.iter().copied().min().expect("three extra capacities");
+        for s_min in [1, s_above_1] {
+            let measured = analyzer(s_min, 2).measure_portfolio(&g, s_min);
+            for (s, report) in reports.iter().filter(|(s, _)| *s >= s_min) {
+                assert_assembly_matches(&measured.assemble(*s), report, &format!("S = {s}"));
+            }
         }
     }
 
