@@ -13,11 +13,11 @@
 //!    at once, amortizing the `O(|V| + |E|)` traversal across the batch
 //!    instead of running one DFS per anchor.
 //! 2. **Warm-started flows.** Within a batch, anchors are visited in
-//!    topological order, so consecutive split networks differ in only a few
-//!    vertex sides. Each worker owns one [`WarmCut`] solver that patches
-//!    those differences and re-augments the retained flow instead of
-//!    solving from scratch (debug builds cross-check every warm solve
-//!    against a fresh one).
+//!    topological order (after one out-of-order first solve, see 4), so
+//!    consecutive split networks differ in only a few vertex sides. Each
+//!    worker owns one [`WarmCut`] solver that patches those differences
+//!    and re-augments the retained flow instead of solving from scratch
+//!    (debug builds cross-check every warm solve against a fresh one).
 //! 3. **Deterministic merge.** Workers race on a shared batch queue, but
 //!    the result is merged by `(cut size, anchor position)` — exactly the
 //!    tie-break of the serial baseline's `max_by_key` (last maximum wins) —
@@ -34,13 +34,17 @@
 //!    skipped before its reachability sweep when its `(max estimate, max
 //!    position)` is dominated; after the sweep each anchor's ceiling
 //!    tightens to the smaller of its level estimate and its two
-//!    closure-cut wavefronts ([`BatchReach::closure_ceiling`]). The
-//!    position tie-break makes this bite hard on regular graphs where many
-//!    anchors tie at the maximum: batches are processed
-//!    highest-position-first, so one solved member of the winning tie
-//!    class dominates the rest of the class. Because only provably-
-//!    dominated anchors are skipped, pruning preserves both the maximum and
-//!    the deterministic tie-break.
+//!    closure-cut wavefronts ([`BatchReach::closure_ceiling`]). Each batch
+//!    then solves its lane with the largest `(ceiling, position)` first.
+//!    Where that ceiling is tight, this one solve dominates every other
+//!    lane, including the rest of its tie class (their positions are
+//!    lower); in topological order alone, the adaptive coarse pass on a
+//!    ladder or pyramid climbs to the same winner one slightly larger cut
+//!    at a time. The remaining lanes keep descending topological order
+//!    for the warm starts, and at one thread this never solves an anchor
+//!    that topological order alone would skip (see the worker's lane
+//!    order). Because only provably-dominated anchors are skipped, pruning
+//!    preserves both the maximum and the deterministic tie-break.
 //!
 //! The engine also hosts the adaptive sampling mode
 //! ([`WavefrontEngine::run_adaptive`]): a per-level coarse pass followed by
@@ -325,11 +329,13 @@ impl<'g> WavefrontEngine<'g> {
         // rises early and pruning bites; the sort is stable, and the merge
         // below is order-independent anyway. The schedule is then chunked
         // into batches of at most `BATCH_WIDTH` anchors; *within* a batch,
-        // anchors are reordered by *descending* topological position — each
-        // worker's warm-started solver still patches minimal side diffs
-        // between consecutive anchors, and the highest-position member of a
-        // tie class is solved first so its `(size, position)` immediately
-        // dominates the rest of the class. Per-batch maxima let a worker
+        // anchors are reordered by *descending* topological position, so
+        // each worker's warm-started solver patches minimal side diffs
+        // between consecutive anchors. Once a batch's sweep has tightened
+        // the ceilings, the worker solves the lane with the largest
+        // `(ceiling, position)` ahead of that order: on graphs whose cuts
+        // widen with depth it is the winner, and it dominates the rest of
+        // the batch at once (see `worker`). Per-batch maxima let a worker
         // drop a dominated batch before paying for its reachability sweep.
         let mut sched: Vec<u32> = (0..anchors.len() as u32).collect();
         sched.sort_by_key(|&i| std::cmp::Reverse(self.anchor_estimate(anchors[i as usize])));
@@ -396,6 +402,34 @@ impl<'g> WavefrontEngine<'g> {
     /// batch's reachability closures word-parallel, then prune and solve
     /// each anchor warm-started, keeping the local `(position, wavefront)`
     /// maximum.
+    ///
+    /// **Lane order.** After the sweep each lane has a pruning key
+    /// `pack(ceiling, position)`. The lane with the largest key is solved
+    /// first; the rest follow in the batch's descending topological order,
+    /// each skipped while its key is below the shared best. The adaptive
+    /// coarse pass has one anchor per depth level, so on a graph whose
+    /// level cuts widen toward its middle, descending topological order is
+    /// ascending-ceiling order: each solve beats the last by one and
+    /// nothing is pruned. Where the top lane's ceiling equals its cut
+    /// (ladders, pyramids, GMRES), solving it first prunes the rest of the
+    /// batch. Only that one lane leaves topological order: a full sort by
+    /// key breaks the locality that warm starts rely on, and where
+    /// ceilings are loose (CG) it costs more than it saves.
+    ///
+    /// **Never more solves at one thread.** With one worker, this order
+    /// solves a subset of the anchors that plain descending topological
+    /// order solves. By induction over lanes and batches, the packed best
+    /// here is never below that order's at the same point (each anchor's
+    /// cut size does not depend on the order):
+    /// - a lane that order solves before the top lane contributes
+    ///   `pack(size, position) ≤ its key < the top key`, so that order
+    ///   solves the top lane whenever this one does;
+    /// - any other lane solved here has key ≥ the best here ≥ that order's
+    ///   best, so that order solves it too;
+    /// - the whole-batch skip compares against the same best, so it drops
+    ///   at least the batches that order drops.
+    ///
+    /// With more workers, `anchors_evaluated` stays timing-dependent.
     fn worker(
         &self,
         anchors: &[VertexId],
@@ -407,6 +441,9 @@ impl<'g> WavefrontEngine<'g> {
     ) -> Option<(usize, MinWavefront)> {
         let mut scratch = AnchorScratch::new(self.g);
         let mut local: Option<(usize, MinWavefront)> = None;
+        // Each lane's pruning key `pack(ceiling, position)`, reused across
+        // batches.
+        let mut keys: Vec<u64> = Vec::with_capacity(BATCH_WIDTH);
         loop {
             let k = next.fetch_add(1, Ordering::Relaxed);
             if k >= batches.len() {
@@ -426,20 +463,29 @@ impl<'g> WavefrontEngine<'g> {
                 .extend(sched[start..end].iter().map(|&i| anchors[i as usize]));
             let xs = std::mem::take(&mut scratch.xs);
             scratch.batch.compute(self.g, &self.order, &xs);
+            // Per-anchor best-so-far pruning: the anchor can contribute at
+            // most `(ceiling, position)`, with the ceiling the tighter of
+            // the level estimate and the sweep's closure cuts; if that is
+            // lexicographically below the best completed `(size,
+            // position)`, it can neither beat nor tie-win the merge —
+            // skipping cannot change the argmax.
+            keys.clear();
             for (j, (&x, &i)) in xs.iter().zip(&sched[start..end]).enumerate() {
-                let pos = i as usize;
-                // Per-anchor best-so-far pruning: the anchor can contribute
-                // at most `(ceiling, position)`, with the ceiling the
-                // tighter of the level estimate and the sweep's closure
-                // cuts; if that is lexicographically below the best
-                // completed `(size, position)`, it can neither beat nor
-                // tie-win the merge — skipping cannot change the argmax.
                 let ceiling = self
                     .anchor_estimate(x)
                     .min(scratch.batch.closure_ceiling(j));
-                if pack(ceiling, i) < best.load(Ordering::Relaxed) {
+                keys.push(pack(ceiling, i));
+            }
+            // Largest key first, then the rest in the batch's descending
+            // topological order (the lane order above). Keys are unique
+            // because positions are.
+            let top = (0..keys.len()).max_by_key(|&j| keys[j]).unwrap_or(0);
+            for j in std::iter::once(top).chain((0..keys.len()).filter(|&j| j != top)) {
+                if keys[j] < best.load(Ordering::Relaxed) {
                     continue;
                 }
+                let (x, i) = (xs[j], sched[start + j]);
+                let pos = i as usize;
                 let w = scratch.min_wavefront(self.g, j, x);
                 evaluated.fetch_add(1, Ordering::Relaxed);
                 best.fetch_max(pack(w.size, i), Ordering::Relaxed);
@@ -675,39 +721,47 @@ mod tests {
 
     #[test]
     fn refinement_floor_skips_ties_with_the_coarse_winner() {
-        let g = ladder(12, 12);
-        let eng = WavefrontEngine::new(&g).with_threads(1);
-        let seeds = eng.per_level_anchors();
-        let coarse = eng.run(&seeds).best.unwrap();
-        let refine = eng.refinement_anchors(&seeds, &coarse);
-        // Every refinement anchor's pruning ceiling, as the worker sees it.
-        let mut batch = BatchReach::new();
-        batch.compute(&g, &eng.order, &refine);
-        let top = refine
-            .iter()
-            .enumerate()
-            .map(|(j, &x)| eng.anchor_estimate(x).min(batch.closure_ceiling(j)))
-            .max()
-            .unwrap();
-        // On a ladder the refinement can at best tie the coarse winner...
-        assert_eq!(top, coarse.size);
-        // ...so the adaptive refinement, floored there, solves nothing,
-        // while a floor one lower still has the tying anchors to solve.
-        assert_eq!(eng.run_above(&refine, top).anchors_evaluated, 0);
-        assert!(eng.run_above(&refine, top - 1).anchors_evaluated > 0);
-        let adaptive = eng.run_adaptive();
-        assert_eq!(
-            adaptive.anchors_evaluated,
-            eng.run(&seeds).anchors_evaluated
-        );
-        // The winner is unchanged: the unpruned refinement cannot beat the
-        // coarse pass, which the adaptive result keeps.
-        assert!(eng.run(&refine).best.unwrap().size <= coarse.size);
-        let best = adaptive.best.unwrap();
-        assert_eq!(
-            (best.size, best.anchor, &best.cut.vertices),
-            (coarse.size, coarse.anchor, &coarse.cut.vertices)
-        );
+        for (w, h) in [(12, 12), (64, 64)] {
+            let g = ladder(w, h);
+            let eng = WavefrontEngine::new(&g).with_threads(1);
+            let seeds = eng.per_level_anchors();
+            let coarse = eng.run(&seeds).best.unwrap();
+            let refine = eng.refinement_anchors(&seeds, &coarse);
+            // Every refinement anchor's pruning ceiling, as the worker sees it.
+            let mut batch = BatchReach::new();
+            let top = refine
+                .chunks(BATCH_WIDTH)
+                .flat_map(|xs| {
+                    batch.compute(&g, &eng.order, xs);
+                    (0..xs.len())
+                        .map(|j| eng.anchor_estimate(xs[j]).min(batch.closure_ceiling(j)))
+                        .collect::<Vec<_>>()
+                })
+                .max()
+                .unwrap();
+            // On a ladder the refinement can at best tie the coarse winner...
+            assert_eq!(top, coarse.size, "ladder({w}, {h})");
+            // ...so the adaptive refinement, floored there, solves nothing,
+            // while a floor one lower still has the tying anchors to solve.
+            assert_eq!(eng.run_above(&refine, top).anchors_evaluated, 0);
+            assert!(eng.run_above(&refine, top - 1).anchors_evaluated > 0);
+            // The coarse pass climbs the ladder's widening antidiagonals:
+            // in descending topological order every solve beats the last by
+            // one (12 and 32 solves here), but the middle antidiagonal's
+            // ceiling is its cut, so solving the top lane first prunes the
+            // rest of its batch and every later batch.
+            let adaptive = eng.run_adaptive();
+            assert_eq!(adaptive.anchors_evaluated, 1, "ladder({w}, {h})");
+            assert_eq!(eng.run(&seeds).anchors_evaluated, 1, "ladder({w}, {h})");
+            // The winner is unchanged: the unpruned refinement cannot beat the
+            // coarse pass, which the adaptive result keeps.
+            assert!(eng.run(&refine).best.unwrap().size <= coarse.size);
+            let best = adaptive.best.unwrap();
+            assert_eq!(
+                (best.size, best.anchor, &best.cut.vertices),
+                (coarse.size, coarse.anchor, &coarse.cut.vertices)
+            );
+        }
     }
 
     #[test]

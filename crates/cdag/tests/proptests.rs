@@ -74,7 +74,16 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Cdag> {
 /// flow core is tuned for (wavefronts sweep layer by layer), so it is where
 /// the phase-saturating solver and the warm-started network earn their keep.
 fn arb_layered_dag(max_layers: usize, max_width: usize) -> impl Strategy<Value = Cdag> {
-    (2..max_layers, 1..max_width)
+    arb_layered_dag_in(2..max_layers, 1..max_width)
+}
+
+/// [`arb_layered_dag`] with the layer count drawn from `layers` and the
+/// width from `width`.
+fn arb_layered_dag_in(
+    layers: std::ops::Range<usize>,
+    width: std::ops::Range<usize>,
+) -> impl Strategy<Value = Cdag> {
+    (layers, width)
         .prop_flat_map(|(layers, width)| {
             let m = (layers - 1) * width * width;
             (
@@ -357,17 +366,14 @@ proptest! {
         }
     }
 
-    /// With closure-ceiling pruning on, the engine over every anchor still
-    /// returns the serial maximum — size, anchor, and witness — at 1, 2,
-    /// and 4 threads.
+    /// With closure-ceiling pruning and the top-lane-first order, the
+    /// engine still returns the serial maximum over every anchor — size,
+    /// anchor, and witness — at every floor, at 1, 2, and 4 threads, with
+    /// anchor positions in topological order, against it, and shuffled.
     #[test]
-    fn engine_matches_serial_max_min_wavefront(g in arb_layered_dag(6, 5)) {
-        let anchors: Vec<VertexId> = g.vertices().collect();
-        let serial = max_min_wavefront(&g, &anchors).map(|w| (w.size, w.anchor, w.cut.vertices));
-        for threads in [1, 2, 4] {
-            let run = WavefrontEngine::new(&g).with_threads(threads).run(&anchors);
-            let engine = run.best.map(|w| (w.size, w.anchor, w.cut.vertices));
-            prop_assert_eq!(&engine, &serial, "{} threads", threads);
+    fn engine_matches_serial_max_min_wavefront(g in arb_layered_dag(6, 5), keys in arb_shuffle_keys()) {
+        for anchors in anchor_orders(&g, &keys) {
+            engine_matches_serial_at_every_floor(&g, &anchors)?;
         }
     }
 
@@ -394,6 +400,58 @@ proptest! {
         // are live; and after the very first fire the wavefront is >= 1.
         prop_assert!(peak >= max_in.max(1));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// [`engine_matches_serial_max_min_wavefront`] on more than 64 anchors,
+    /// so the engine splits them into several batches and prunes whole
+    /// batches against the best of earlier ones.
+    #[test]
+    fn engine_matches_serial_across_batches(g in arb_layered_dag_in(8..12, 9..12), keys in arb_shuffle_keys()) {
+        for anchors in anchor_orders(&g, &keys) {
+            engine_matches_serial_at_every_floor(&g, &anchors)?;
+        }
+    }
+}
+
+/// Strategy: one random sort key per vertex of a graph from either
+/// engine family above (at most 11 × 11 vertices), for [`anchor_orders`].
+fn arb_shuffle_keys() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..u64::MAX, 121)
+}
+
+/// Every vertex as an anchor list three ways: in id order (topological on
+/// a layered DAG), reversed, and shuffled by sorting on `keys` — so the
+/// anchor positions the engine's tie-break and pruning keys use disagree
+/// with the topological order its batches are solved in.
+fn anchor_orders(g: &Cdag, keys: &[u64]) -> [Vec<VertexId>; 3] {
+    let forward: Vec<VertexId> = g.vertices().collect();
+    let reversed = forward.iter().rev().copied().collect();
+    let mut shuffled = forward.clone();
+    shuffled.sort_by_key(|v| keys[v.index()]);
+    [forward, reversed, shuffled]
+}
+
+/// `run_above(anchors, f)` for every floor `f` up to one past the ceiling
+/// returns the serial maximum over `anchors` (size, anchor, witness)
+/// whenever it exceeds `f` — always at `f = 0` — and nothing otherwise,
+/// at 1, 2, and 4 threads.
+fn engine_matches_serial_at_every_floor(g: &Cdag, anchors: &[VertexId]) -> TestCaseResult {
+    let serial = max_min_wavefront(g, anchors).map(|w| (w.size, w.anchor, w.cut.vertices));
+    for threads in [1, 2, 4] {
+        let eng = WavefrontEngine::new(g).with_threads(threads);
+        for floor in 0..=eng.ceiling() + 1 {
+            let run = eng.run_above(anchors, floor);
+            let engine = run.best.map(|w| (w.size, w.anchor, w.cut.vertices));
+            let want = serial
+                .clone()
+                .filter(|(size, ..)| floor == 0 || *size > floor);
+            prop_assert_eq!(&engine, &want, "{} threads, floor {}", threads, floor);
+        }
+    }
+    Ok(())
 }
 
 /// Two builders fed the same vertex set but the edge list in a different

@@ -275,8 +275,11 @@ impl WavefrontMeasurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::decompose::untag_inputs;
     use crate::games::optimal::{optimal_io, GameKind};
+    use dmc_cdag::cut::max_min_wavefront;
     use dmc_cdag::BitSet;
+    use dmc_kernels::catalog::Registry;
     use dmc_kernels::chains;
 
     /// One measurement at `s_min` gives, at every larger `S`, the bound
@@ -442,6 +445,35 @@ mod tests {
             let b = auto_wavefront_bound_with(&g, 2, AnchorStrategy::Adaptive, threads);
             assert_eq!(b.value, b_ad.value);
             assert_eq!(b.provenance.note, b_ad.provenance.note);
+        }
+    }
+
+    /// The engine solves each batch's highest-ceiling lane first. On
+    /// pyramids and GMRES that lane's ceiling is its cut, so one max-flow
+    /// settles the adaptive run where descending topological order alone
+    /// solves 22 and 10; CG's loose closure ceilings still leave 12. The
+    /// counts are deterministic at one thread. Each winner — size, anchor
+    /// and witness — is the serial maximum over the coarse pass's anchors,
+    /// one per depth level: on these kernels the refinement around it
+    /// finds no wider cut.
+    #[test]
+    fn one_thread_engine_work_on_catalog_kernels() {
+        for (spec, evaluated) in [
+            ("pyramid(r=2,h=32)", 1),
+            ("gmres(n=16,d=2,m=4)", 1),
+            ("cg(n=32,d=2,t=4)", 12),
+        ] {
+            let g = untag_inputs(&Registry::shared().parse(spec).expect("valid spec").build());
+            let eng = WavefrontEngine::new(&g).with_threads(1);
+            let run = eng.run_adaptive();
+            assert_eq!(run.anchors_evaluated, evaluated, "{spec}");
+            let best = run.best.expect("a winner");
+            let want = max_min_wavefront(&g, &eng.per_level_anchors()).expect("anchors");
+            assert_eq!(
+                (best.size, best.anchor, &best.cut.vertices),
+                (want.size, want.anchor, &want.cut.vertices),
+                "{spec}"
+            );
         }
     }
 
