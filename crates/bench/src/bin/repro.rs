@@ -34,7 +34,7 @@
 //! runs the E16 curve of sparse random DAGs from 2^20 past 10^7
 //! vertices through the hierarchical mode. The binary also records
 //! wall-clock perf snapshots as `BENCH_<experiment>.json` (in
-//! `$DMC_BENCH_DIR`, default the current directory). `simulate` executes the kernel's schedule
+//! `$DMC_BENCH_DIR`, default the workspace root). `simulate` executes the kernel's schedule
 //! hook on the cache simulator across the S-sweep and sandwiches the
 //! measured I/O between the certified lower and upper bounds (the sweep
 //! defaults to three octaves up from the schedule's minimum feasible S;
@@ -318,9 +318,9 @@ fn run_serve(args: &Args, threads: usize) -> ! {
 }
 
 fn main() {
-    // Perf-trajectory snapshots (`BENCH_*.json` in `$DMC_BENCH_DIR` or
-    // the current directory) are enabled for the binary only — library
-    // users, unit tests, and criterion benches never write them.
+    // Wall-clock snapshots (`BENCH_*.json` in `$DMC_BENCH_DIR` or the
+    // workspace root) are enabled for the binary only — library users and
+    // unit tests never write them.
     dmc_bench::snapshot::enable_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&args);

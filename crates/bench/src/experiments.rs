@@ -212,7 +212,7 @@ pub fn jacobi_experiment() -> String {
     }
     out.push_str(
         "(paper prints d ≤ 4.83 for BG/Q DRAM→L2 and d ≤ 96 for L2→L1;\n\
-                  see EXPERIMENTS.md on the constant discrepancy — conclusions agree)\n",
+                  see dmc_kernels::jacobi::jacobi_max_unbound_dimension on the constant discrepancy — conclusions agree)\n",
     );
     // Verdicts per dimension.
     out.push_str("\nverdicts on BG/Q by dimension (n=1000):\n");

@@ -5,8 +5,8 @@
 //! a smoke number next to the output (the repository's performance is
 //! measured by `BENCHMARK.json` and `perfbench/`). Snapshots
 //! are **process-opt-in**: nothing is written unless [`enable_from_env`]
-//! ran first, which only the `repro` binary does — library users, unit
-//! tests, and criterion benches never touch the filesystem.
+//! ran first, which only the `repro` binary does — library users and
+//! unit tests never touch the filesystem.
 //!
 //! Each record lands in `$DMC_BENCH_DIR` (or the workspace root when the
 //! variable is unset, falling back to the current directory outside a

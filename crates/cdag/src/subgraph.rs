@@ -107,15 +107,13 @@ pub fn output_set(g: &Cdag, set: &BitSet) -> BitSet {
 /// from block `i` to block `j`.
 #[derive(Debug, Clone)]
 pub struct QuotientGraph {
-    /// Number of partition blocks.
-    pub num_blocks: usize,
     /// Deduplicated inter-block edges (no self-edges).
     pub edges: Vec<(usize, usize)>,
 }
 
 impl QuotientGraph {
     /// Builds the quotient of `g` under `assignment`.
-    pub fn new(g: &Cdag, assignment: &[usize], num_blocks: usize) -> Self {
+    pub fn new(g: &Cdag, assignment: &[usize]) -> Self {
         assert_eq!(assignment.len(), g.num_vertices());
         let mut edges: Vec<(usize, usize)> = g
             .edges()
@@ -124,7 +122,7 @@ impl QuotientGraph {
             .collect();
         edges.sort_unstable();
         edges.dedup();
-        QuotientGraph { num_blocks, edges }
+        QuotientGraph { edges }
     }
 
     /// `true` if two blocks have edges in both directions — the "circuit
@@ -138,53 +136,6 @@ impl QuotientGraph {
         self.edges
             .iter()
             .any(|&(a, b)| self.edges.binary_search(&(b, a)).is_ok())
-    }
-
-    /// `true` if the quotient digraph is acyclic (strictly stronger than
-    /// the absence of pairwise circuits; partitions built from valid games
-    /// always satisfy it).
-    pub fn is_acyclic(&self) -> bool {
-        let mut indeg = vec![0u32; self.num_blocks];
-        let mut adj = vec![Vec::new(); self.num_blocks];
-        for &(a, b) in &self.edges {
-            adj[a].push(b);
-            indeg[b] += 1;
-        }
-        let mut queue: Vec<usize> = (0..self.num_blocks).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        seen == self.num_blocks
-    }
-
-    /// A topological order of the blocks; `None` if cyclic.
-    pub fn topological_block_order(&self) -> Option<Vec<usize>> {
-        let mut indeg = vec![0u32; self.num_blocks];
-        let mut adj = vec![Vec::new(); self.num_blocks];
-        for &(a, b) in &self.edges {
-            adj[a].push(b);
-            indeg[b] += 1;
-        }
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..self.num_blocks).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(self.num_blocks);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push_back(v);
-                }
-            }
-        }
-        (order.len() == self.num_blocks).then_some(order)
     }
 }
 
@@ -264,17 +215,13 @@ mod tests {
     fn pairwise_circuit_found_by_binary_search() {
         let chain: Vec<(usize, usize)> = (0..50).map(|i| (i, i + 1)).collect();
         let acyclic = QuotientGraph {
-            num_blocks: 51,
             edges: chain.clone(),
         };
         assert!(!acyclic.has_pairwise_circuit());
         let mut edges = chain;
         edges.push((37, 36)); // reverse one deep-in-the-list edge
         edges.sort_unstable();
-        let cyclic = QuotientGraph {
-            num_blocks: 51,
-            edges,
-        };
+        let cyclic = QuotientGraph { edges };
         assert!(cyclic.has_pairwise_circuit());
     }
 
@@ -282,14 +229,10 @@ mod tests {
     fn quotient_detects_circuits() {
         let g = diamond();
         // Blocks {a, d} and {b, c}: edges 0->1 (a->b) and 1->0 (b->d).
-        let q = QuotientGraph::new(&g, &[0, 1, 1, 0], 2);
+        let q = QuotientGraph::new(&g, &[0, 1, 1, 0]);
         assert!(q.has_pairwise_circuit());
-        assert!(!q.is_acyclic());
-        assert!(q.topological_block_order().is_none());
         // Blocks {a, b, c} then {d}: acyclic chain.
-        let q = QuotientGraph::new(&g, &[0, 0, 0, 1], 2);
+        let q = QuotientGraph::new(&g, &[0, 0, 0, 1]);
         assert!(!q.has_pairwise_circuit());
-        assert!(q.is_acyclic());
-        assert_eq!(q.topological_block_order(), Some(vec![0, 1]));
     }
 }

@@ -117,8 +117,9 @@ pub fn from_text(text: &str) -> Result<Cdag, ParseError> {
         .strip_prefix("cdag ")
         .and_then(|r| r.trim().parse().ok())
         .ok_or(ParseError::MissingHeader)?;
-    let mut b = CdagBuilder::with_capacity(n, 0);
-    let mut declared = vec![false; n];
+    // Nothing is sized from the untrusted header: the builder grows with
+    // the vertices actually declared.
+    let mut b = CdagBuilder::new();
     let mut next_expected = 0usize;
     for (lineno, line) in lines {
         let mut parts = line.splitn(2, ' ');
@@ -138,10 +139,9 @@ pub fn from_text(text: &str) -> Result<Cdag, ParseError> {
                         .and_then(|s| s.strip_suffix('"'))
                         .unwrap_or(label_raw),
                 );
-                if id >= n || declared[id] || id != next_expected {
+                if id >= n || id != next_expected {
                     return Err(ParseError::BadVertex(id));
                 }
-                declared[id] = true;
                 next_expected += 1;
                 let vid = b.add_vertex(label);
                 debug_assert_eq!(vid.0 as usize, id);
@@ -271,6 +271,17 @@ mod tests {
         assert!(matches!(
             from_text("cdag 3\nv 0 op \"a\""),
             Err(ParseError::BadVertex(1))
+        ));
+        // A repeated id is out of sequence.
+        assert!(matches!(
+            from_text("cdag 2\nv 0 op \"a\"\nv 0 op \"b\""),
+            Err(ParseError::BadVertex(0))
+        ));
+        // A header alone is an error, not an allocation: sizing anything
+        // from it would ask for ~96 GB of labels.
+        assert!(matches!(
+            from_text("cdag 4000000000"),
+            Err(ParseError::BadVertex(0))
         ));
     }
 

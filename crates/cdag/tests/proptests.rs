@@ -299,37 +299,10 @@ proptest! {
     }
 
     /// The warm-started, frontier-restricted solver agrees with a fresh
-    /// from-scratch solve on every anchor of a sweep: identical cut value,
-    /// identical witness vertices, and the witness actually separates.
+    /// from-scratch solve on every anchor of a sweep.
     #[test]
     fn warm_cut_matches_fresh_over_random_sweep(g in arb_layered_dag(6, 5)) {
-        let n = g.num_vertices();
-        let mut warm = WarmCut::new(&g);
-        let mut sources = BitSet::new(n);
-        let mut sinks = BitSet::new(n);
-        let mut stack = Vec::new();
-        for x in topological_order(&g) {
-            ancestors_into(&g, x, &mut sources, &mut stack);
-            sources.insert(x.index());
-            descendants_into(&g, x, &mut sinks, &mut stack);
-            if sinks.is_empty() {
-                continue;
-            }
-            let got = warm.min_cut(&g, &sources, &sinks);
-            let want = vertex_min_cut(&g, &sources, &sinks, VertexCutOptions::default());
-            match (&got, &want) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.size, b.size, "anchor {}", x);
-                    prop_assert_eq!(&a.vertices, &b.vertices, "anchor {}", x);
-                    prop_assert!(
-                        is_separating_vertex_set(&g, &sources, &sinks, &a.vertices),
-                        "anchor {}: witness does not separate", x
-                    );
-                }
-                (None, None) => {}
-                _ => prop_assert!(false, "anchor {}: bounded/unbounded disagreement", x),
-            }
-        }
+        warm_cuts_match_fresh_over_every_anchor(&g)?;
     }
 
     /// The parallel engine returns byte-identical results at 1, 2, and 4
@@ -414,6 +387,70 @@ proptest! {
             engine_matches_serial_at_every_floor(&g, &anchors)?;
         }
     }
+
+    /// [`warm_cut_matches_fresh_over_random_sweep`] on more than 64
+    /// anchors, so the role-fed solver carries its warm flow across
+    /// `BatchReach` batches.
+    #[test]
+    fn warm_cut_matches_fresh_across_batches(g in arb_layered_dag_in(8..12, 9..12)) {
+        warm_cuts_match_fresh_over_every_anchor(&g)?;
+    }
+}
+
+/// Sweeps every anchor in topological order, unpruned, through two
+/// warm-started solvers — [`WarmCut::min_cut`] on the full source/sink
+/// sets, and [`WarmCut::min_cut_roles`] fed the engine's `BatchReach`
+/// role columns, one batch per 64 anchors — and checks each against a
+/// fresh [`vertex_min_cut`]: identical cut value, identical witness
+/// vertices, and the witness actually separates.
+fn warm_cuts_match_fresh_over_every_anchor(g: &Cdag) -> TestCaseResult {
+    let n = g.num_vertices();
+    let order = topological_order(g);
+    let mut warm = WarmCut::new(g);
+    let mut warm_roles = WarmCut::new(g);
+    let mut batch = BatchReach::new();
+    let [mut sources, mut sinks, mut supply, mut drain, mut blocked] =
+        std::array::from_fn(|_| BitSet::new(n));
+    let mut stack = Vec::new();
+    for chunk in order.chunks(64) {
+        batch.compute(g, &order, chunk);
+        for (j, &x) in chunk.iter().enumerate() {
+            ancestors_into(g, x, &mut sources, &mut stack);
+            sources.insert(x.index());
+            descendants_into(g, x, &mut sinks, &mut stack);
+            if sinks.is_empty() {
+                continue;
+            }
+            let want = vertex_min_cut(g, &sources, &sinks, VertexCutOptions::default());
+            let got = warm.min_cut(g, &sources, &sinks);
+            batch.fill_supply(j, &mut supply);
+            batch.fill_drain(j, &mut drain);
+            batch.fill_blocked(j, &mut blocked);
+            let got_roles = warm_roles.min_cut_roles(&supply, &drain, &blocked);
+            for (solver, got) in [("min_cut", &got), ("min_cut_roles", &got_roles)] {
+                match (got, &want) {
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(a.size, b.size, "{} anchor {}", solver, x);
+                        prop_assert_eq!(&a.vertices, &b.vertices, "{} anchor {}", solver, x);
+                        prop_assert!(
+                            is_separating_vertex_set(g, &sources, &sinks, &a.vertices),
+                            "{} anchor {}: witness does not separate",
+                            solver,
+                            x
+                        );
+                    }
+                    (None, None) => {}
+                    _ => prop_assert!(
+                        false,
+                        "{} anchor {}: bounded/unbounded disagreement",
+                        solver,
+                        x
+                    ),
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Strategy: one random sort key per vertex of a graph from either

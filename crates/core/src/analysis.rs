@@ -6,9 +6,8 @@
 //! bandwidth-bound (Equation 8 violated), or inconclusive.
 //!
 //! The per-algorithm profiles themselves live in
-//! [`dmc_kernels::profile`] and are surfaced per kernel through the
-//! catalog's [`Kernel::profile`](dmc_kernels::catalog::Kernel::profile)
-//! hook; [`AlgorithmProfile`] is re-exported here for compatibility.
+//! [`dmc_kernels::profile`]; [`AlgorithmProfile`] is re-exported here for
+//! compatibility.
 
 use dmc_machine::{BandwidthVerdict, Constraint, MachineSpec};
 use serde::json::Value;
@@ -123,25 +122,6 @@ mod tests {
         // LB ratio = 1/(4·(8e6)^{1/3}) = 1/800 = 0.00125 < 0.052, and the
         // tiled UB 2/(8e6)^{1/3} = 0.01 < 0.052 → definitely not bound.
         assert_eq!(r.vertical, BandwidthVerdict::NotBandwidthBound);
-    }
-
-    #[test]
-    fn catalog_profile_hook_matches_free_function() {
-        use dmc_kernels::catalog::{ProfileContext, Registry};
-        let registry = Registry::shared();
-        let ctx = ProfileContext {
-            nodes: 2048,
-            sram: specs::ibm_bgq().llc_words(),
-        };
-        let spec = registry.parse("jacobi(n=16,d=3)").expect("valid spec");
-        let hook = spec
-            .kernel()
-            .profile(spec.values(), &ctx)
-            .expect("jacobi has a profile");
-        let free = jacobi_profile(16, 3, 2048, ctx.sram);
-        assert_eq!(hook.vertical_lb_per_flop, free.vertical_lb_per_flop);
-        assert_eq!(hook.vertical_ub_per_flop, free.vertical_ub_per_flop);
-        assert_eq!(hook.horizontal_ub_per_flop, free.horizontal_ub_per_flop);
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn check_p2(g: &Cdag, p: &SPartition) -> Result<(), PartitionViolation> {
             next += 1;
         }
     }
-    let q = QuotientGraph::new(g, &a, next);
+    let q = QuotientGraph::new(g, &a);
     if q.has_pairwise_circuit() {
         return Err(PartitionViolation::Circuit);
     }
@@ -166,7 +166,7 @@ pub fn validate_hong_kung(g: &Cdag, p: &SPartition, s: usize) -> Result<(), Part
     }
     // P2.
     let a = p.assignment(n);
-    let q = QuotientGraph::new(g, &a, p.num_blocks());
+    let q = QuotientGraph::new(g, &a);
     if q.has_pairwise_circuit() {
         return Err(PartitionViolation::Circuit);
     }

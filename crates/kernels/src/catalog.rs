@@ -13,8 +13,7 @@
 //!   optional analytic hooks
 //!   ([`analytic_lower_bound`](Kernel::analytic_lower_bound),
 //!   [`analytic_upper_bound`](Kernel::analytic_upper_bound),
-//!   [`flops_estimate`](Kernel::flops_estimate),
-//!   [`profile`](Kernel::profile));
+//!   [`flops_estimate`](Kernel::flops_estimate));
 //! * [`Registry`] — all kernel families, discoverable by name
 //!   ([`Registry::get`]) and iterable ([`Registry::iter`]);
 //! * the spec-string parser ([`Registry::parse`]) with the grammar
@@ -41,7 +40,6 @@
 //! assert_eq!(registry.parse(&spec.render()).unwrap(), spec);
 //! ```
 
-use crate::profile::AlgorithmProfile;
 use dmc_cdag::topo::topological_order;
 use dmc_cdag::{Cdag, VertexId};
 use std::fmt;
@@ -278,17 +276,6 @@ impl KernelSchedule {
     }
 }
 
-/// Machine context for [`Kernel::profile`]: the Section-5 profiles are
-/// per-FLOP ratios that depend on the node count and per-node fast
-/// memory, not only on the kernel's own parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileContext {
-    /// Number of nodes `N` of Equations 9–10.
-    pub nodes: usize,
-    /// Per-node fast-memory capacity `S` in words.
-    pub sram: u64,
-}
-
 /// One parameterized CDAG family: the unified interface the registry,
 /// the `repro` CLI, the experiment tables, and the pipeline all build on.
 ///
@@ -358,12 +345,6 @@ pub trait Kernel: Send + Sync {
 
     /// Approximate FLOP count (the paper's `|V|`-style estimates).
     fn flops_estimate(&self, _p: &ParamValues) -> Option<f64> {
-        None
-    }
-
-    /// The Section-5 per-FLOP data-movement profile, when the paper
-    /// derives one for this family.
-    fn profile(&self, _p: &ParamValues, _ctx: &ProfileContext) -> Option<AlgorithmProfile> {
         None
     }
 }

@@ -12,9 +12,8 @@
 //!    min-wavefront `n^d`);
 //! 6. `p ← r' + g·p`           — saxpy.
 
-use crate::catalog::{AnalyticBound, Kernel, ParamSpec, ParamValues, ProfileContext};
+use crate::catalog::{AnalyticBound, Kernel, ParamSpec, ParamValues};
 use crate::grid::{Grid, Stencil};
-use crate::profile::{cg_profile, AlgorithmProfile};
 use crate::vecops::{dot, saxpy};
 use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 
@@ -167,10 +166,6 @@ impl Kernel for CgKernel {
 
     fn flops_estimate(&self, p: &ParamValues) -> Option<f64> {
         Some(cg_flops_estimate(p.usize("n"), p.usize("d"), p.usize("t")))
-    }
-
-    fn profile(&self, p: &ParamValues, ctx: &ProfileContext) -> Option<AlgorithmProfile> {
-        Some(cg_profile(p.usize("n"), ctx.nodes))
     }
 }
 

@@ -12,9 +12,8 @@
 //! (reduction over `w` and `v_i`, both of which have disjoint paths into
 //! the saxpy of step 3).
 
-use crate::catalog::{AnalyticBound, Kernel, ParamSpec, ParamValues, ProfileContext};
+use crate::catalog::{AnalyticBound, Kernel, ParamSpec, ParamValues};
 use crate::grid::{Grid, Stencil};
-use crate::profile::{gmres_profile, AlgorithmProfile};
 use crate::vecops::{dot, scale};
 use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 
@@ -173,10 +172,6 @@ impl Kernel for GmresKernel {
             p.usize("d"),
             p.usize("m"),
         ))
-    }
-
-    fn profile(&self, p: &ParamValues, ctx: &ProfileContext) -> Option<AlgorithmProfile> {
-        Some(gmres_profile(p.usize("n"), p.usize("m"), ctx.nodes))
     }
 }
 

@@ -5,11 +5,8 @@
 //! stencil and generalizes to `d` dimensions:
 //! `Q ≥ n^d·T / (4·P·(2S)^{1/d})`.
 
-use crate::catalog::{
-    AnalyticBound, Kernel, KernelSchedule, ParamSpec, ParamValues, ProfileContext,
-};
+use crate::catalog::{AnalyticBound, Kernel, KernelSchedule, ParamSpec, ParamValues};
 use crate::grid::{Grid, Stencil};
-use crate::profile::{jacobi_profile, AlgorithmProfile};
 use dmc_cdag::{Cdag, CdagBuilder, VertexId};
 
 /// A Jacobi CDAG with its geometry.
@@ -97,10 +94,9 @@ pub fn jacobi_largest_partition(d: usize, s: u64) -> f64 {
 ///
 /// Note: the paper prints the intermediate rule as `d ≤ 0.21·log(2S₂)`
 /// and the threshold as `d ≤ 4.83`, which does not follow from its own
-/// inequality (see [`jacobi_paper_printed_dimension`] and EXPERIMENTS.md);
-/// the qualitative conclusion — practical stencils (`d ≤ 4`) are not
-/// vertically bandwidth-bound at DRAM→L2 — is identical under both
-/// constants.
+/// inequality (see [`jacobi_paper_printed_dimension`]); the qualitative
+/// conclusion — practical stencils (`d ≤ 4`) are not vertically
+/// bandwidth-bound at DRAM→L2 — is identical under both constants.
 pub fn jacobi_max_unbound_dimension(beta: f64, s: u64) -> f64 {
     let denom = (1.0 / (4.0 * beta)).ln();
     if denom <= 0.0 {
@@ -110,8 +106,8 @@ pub fn jacobi_max_unbound_dimension(beta: f64, s: u64) -> f64 {
 }
 
 /// The paper's *printed* Section-5.4.3 rule `d ≤ 0.21·log₂(2S)`, which
-/// yields the reported `d ≤ 4.83` for S₂ = 4 MWords. Kept verbatim so the
-/// benches can report both values side by side.
+/// yields the reported `d ≤ 4.83` for S₂ = 4 MWords. Kept verbatim so E6
+/// and `examples/machine_balance.rs` can report both values side by side.
 pub fn jacobi_paper_printed_dimension(s: u64) -> f64 {
     0.21 * (2.0 * s as f64).log2()
 }
@@ -277,15 +273,6 @@ impl Kernel for JacobiKernel {
 
     fn flops_estimate(&self, p: &ParamValues) -> Option<f64> {
         Some((p.uint("n") as f64).powi(p.uint("d") as i32) * p.uint("t") as f64)
-    }
-
-    fn profile(&self, p: &ParamValues, ctx: &ProfileContext) -> Option<AlgorithmProfile> {
-        Some(jacobi_profile(
-            p.usize("n"),
-            p.usize("d"),
-            ctx.nodes,
-            ctx.sram,
-        ))
     }
 }
 

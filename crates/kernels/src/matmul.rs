@@ -37,7 +37,7 @@ pub fn matmul(n: usize) -> Cdag {
 
 /// Builds the matmul CDAG with *sequential* (chain) accumulation instead of
 /// balanced trees — the textbook triple loop. Same asymptotic I/O, deeper
-/// critical path; used by the ablation benches.
+/// critical path; the catalog's `matmul(accumulate=chain)`.
 pub fn matmul_chain_accumulate(n: usize) -> Cdag {
     assert!(n >= 1);
     let mut b = CdagBuilder::with_capacity(2 * n * n + 2 * n * n * n, 4 * n * n * n);

@@ -7,12 +7,10 @@
 //! machine's balance parameters (`dmc_machine::MachineSpec`) yields the
 //! bandwidth-bound verdicts of `dmc_core::analysis::analyze`.
 //!
-//! The closed-form profiles below are the paper's Section-5 instances;
-//! they are surfaced through the kernel catalog via
-//! [`Kernel::profile`](crate::catalog::Kernel::profile) (e.g.
-//! `registry.get("cg")`), which is the preferred access path — the free
-//! functions remain for direct formula evaluation at scales far beyond
-//! what a CDAG build could reach (`n = 1000` grids).
+//! The closed-form profiles below are the paper's Section-5 instances,
+//! called directly by the E3, E5 and E6 experiments. They are formulas in
+//! the problem size, so they evaluate at scales far beyond what a CDAG
+//! build could reach (`n = 1000` grids).
 
 /// Per-FLOP data-movement characterization of an algorithm, already
 /// normalized per Equations 9–10: `bound × N_nodes / |V|`.

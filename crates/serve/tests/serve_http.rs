@@ -136,6 +136,11 @@ fn error_paths_over_the_wire() {
     );
     assert_eq!(status, 413);
     assert!(body.contains("--max-vertices"), "{body}");
+    // A `.cdag` header with no vertices: 400, and nothing is allocated
+    // from the declared count (4e9 labels would abort the daemon).
+    let (status, body) = post(addr, "/analyze", "cdag 4000000000");
+    assert_eq!(status, 400);
+    assert!(body.contains("bad or duplicate vertex id 0"), "{body}");
     // Unknown route: 404.
     let (status, _) = get(addr, "/bounds-for-free");
     assert_eq!(status, 404);

@@ -5,7 +5,8 @@
 //! ```
 
 use dmc::core::pipeline::{Analyzer, AnalyzerConfig};
-use dmc::kernels::catalog::{ProfileContext, Registry};
+use dmc::kernels::catalog::Registry;
+use dmc::kernels::profile::jacobi_profile;
 
 fn main() {
     let registry = Registry::shared();
@@ -34,18 +35,13 @@ fn main() {
     .analyze_kernel(&spec);
     println!("\n{report}");
 
-    // 4. The Section-5 profile hook (machine-balance input) where the
-    //    paper derives one for the family.
-    let ctx = ProfileContext {
-        nodes: 2048,
-        sram: 4_000_000,
-    };
-    if let Some(profile) = spec.kernel().profile(spec.values(), &ctx) {
-        println!(
-            "profile '{}': vertical LB/flop = {:?}",
-            profile.name, profile.vertical_lb_per_flop
-        );
-    }
+    // 4. The Section-5 per-FLOP profile (machine-balance input) of the
+    //    same stencil on 2,048 nodes with 4 Mwords of fast memory each.
+    let profile = jacobi_profile(8, 2, 2048, 4_000_000);
+    println!(
+        "profile '{}': vertical LB/flop = {:?}",
+        profile.name, profile.vertical_lb_per_flop
+    );
 
     // 5. Errors are loud and name the alternatives.
     let err = registry.parse("jacobi(stencil=hex)").unwrap_err();
