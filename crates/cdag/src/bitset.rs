@@ -146,14 +146,6 @@ impl BitSet {
         }
     }
 
-    /// `self ∩= other`. Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
     /// `self \= other`. Panics if capacities differ.
     pub fn difference_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
@@ -175,17 +167,6 @@ impl BitSet {
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// `true` if every element of `self` is in `other`. Panics if
-    /// capacities differ (a silent `zip` would ignore the longer set's tail
-    /// words and could wrongly report `true`).
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Read-only view of the packed 64-bit words (block `i` covers indices
@@ -357,9 +338,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 50, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 50]);
@@ -370,8 +348,13 @@ mod tests {
         let a = BitSet::from_indices(64, [3, 5]);
         let b = BitSet::from_indices(64, [3, 5, 7]);
         let c = BitSet::from_indices(64, [8]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
+        // a ⊆ b exactly when a \ b is empty.
+        let mut d = a.clone();
+        d.difference_with(&b);
+        assert!(d.is_empty());
+        let mut d = b.clone();
+        d.difference_with(&a);
+        assert!(!d.is_empty());
         assert!(a.is_disjoint(&c));
         assert!(!a.is_disjoint(&b));
     }
@@ -379,11 +362,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity mismatch")]
     fn subset_rejects_capacity_mismatch() {
-        // Regression: a longer `self` used to have its tail words silently
-        // ignored, so {100} ⊆ {} came back `true`.
-        let a = BitSet::from_indices(128, [100]);
+        // The subset test `a \ b = ∅` must not zip silently: a longer
+        // `a` would have its tail words ignored, so {100} ⊆ {} would
+        // come back `true`.
+        let mut a = BitSet::from_indices(128, [100]);
         let b = BitSet::new(64);
-        let _ = a.is_subset(&b);
+        a.difference_with(&b);
     }
 
     #[test]

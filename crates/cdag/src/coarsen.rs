@@ -1,41 +1,44 @@
-//! Cluster contraction: collapsing a disjoint cluster assignment into a
-//! *super-vertex DAG* — the coarse graph the hierarchical analysis
-//! pipeline navigates when the original CDAG is too large to sweep
-//! directly.
+//! Cluster census: the per-cluster counts of a disjoint cluster
+//! assignment, taken in one pass without building any graph — what the
+//! hierarchical analysis pipeline composes when the original CDAG is too
+//! large to sweep directly.
 //!
-//! A [`CoarseDag`] keeps, per cluster, the annotations the pipeline
-//! needs to reason about the contraction without re-touching the
-//! original graph: vertex/edge counts, the *in-boundary* (vertices with
-//! a predecessor outside the cluster) and *out-boundary* (vertices with
-//! a successor outside the cluster) sizes, and input/output membership.
+//! A [`Coarsening`] keeps, per cluster, what the pipeline needs to bound
+//! and report the cluster without re-touching the original graph:
+//! vertex and internal-edge counts, the *in-boundary* (vertices with a
+//! predecessor outside the cluster) and *out-boundary* (vertices with a
+//! successor outside the cluster) sizes, and the tagged inputs and the
+//! tagged outputs that are not inputs. Across clusters it keeps two
+//! totals: the original edges that cross clusters, and the distinct
+//! ordered cluster pairs they join, which [`QuotientGraph`] deduplicates.
 //!
 //! # Determinism
 //!
-//! Super-vertex numbering is the caller's cluster numbering, verbatim —
-//! no hashing, no renumbering. Clusterings produced by
-//! `topological_clusters` (contiguous intervals of the deterministic
-//! Kahn order) therefore yield bit-identical coarse graphs on every run
-//! and at every thread count.
+//! Cluster numbering is the caller's, verbatim — no hashing, no
+//! renumbering — and every count is a pure function of the graph and
+//! the assignment, so clusterings produced by `topological_clusters`
+//! (contiguous intervals of the deterministic Kahn order) yield the same
+//! census on every run and at every thread count.
 //!
-//! # Soundness note (why the coarse graph is a *map*, not a *bound*)
+//! # Soundness note (why the cluster quotient is a *map*, not a *bound*)
 //!
-//! A min-cut wavefront computed on the coarse graph is **not** a sound
-//! I/O lower bound for the original CDAG: a coarse path `A → B → C`
-//! only certifies an original path when every intermediate cluster
-//! internally connects its in-boundary to its out-boundary, and a
-//! coarse "ancestor" cluster of an anchor mixes true ancestors with
+//! A min-cut wavefront computed on the cluster quotient is **not** a
+//! sound I/O lower bound for the original CDAG: a quotient path
+//! `A → B → C` only certifies an original path when every intermediate
+//! cluster internally connects its in-boundary to its out-boundary, and
+//! an "ancestor" cluster of an anchor mixes true ancestors with
 //! incomparable vertices, so Lemma 2's computed/uncomputed wavefront
-//! argument does not transfer. The hierarchical pipeline therefore uses
-//! the coarse graph for *structure* (cluster diagnostics, provenance)
-//! and derives its certified bound from Theorem 2 over the cluster
-//! partition instead, summing each cluster's trivial bound from the
+//! argument does not transfer. The hierarchical pipeline therefore
+//! reports the quotient's size only as a structural diagnostic and
+//! derives its certified bound from Theorem 2 over the cluster partition
+//! instead, summing each cluster's trivial bound from the
 //! [`ClusterInfo`] tag counts — see `Analyzer::analyze_hierarchical` in
 //! `dmc-core`.
 
-use crate::builder::CdagBuilder;
 use crate::graph::{Cdag, VertexId};
+use crate::subgraph::QuotientGraph;
 
-/// Why a cluster assignment could not be contracted.
+/// Why a cluster assignment could not be counted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoarsenError {
     /// `assignment.len()` differs from the graph's vertex count.
@@ -55,13 +58,8 @@ pub enum CoarsenError {
         num_clusters: usize,
     },
     /// A declared cluster received no vertices (numbering must be
-    /// contiguous `0..num_clusters` so super-vertex ids stay dense).
+    /// contiguous `0..num_clusters`).
     EmptyCluster(usize),
-    /// The quotient has a directed cycle — the assignment does not
-    /// respect a topological order of the graph, so no super-vertex
-    /// *DAG* exists. Clusterings built from contiguous intervals of a
-    /// topological order can never trigger this.
-    CyclicQuotient,
 }
 
 impl std::fmt::Display for CoarsenError {
@@ -79,19 +77,13 @@ impl std::fmt::Display for CoarsenError {
                 "vertex {vertex} assigned to cluster {cluster} (declared {num_clusters})"
             ),
             CoarsenError::EmptyCluster(c) => write!(f, "cluster {c} is empty"),
-            CoarsenError::CyclicQuotient => {
-                write!(
-                    f,
-                    "cluster quotient has a directed cycle (not a topological clustering)"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for CoarsenError {}
 
-/// Per-cluster annotations of a [`CoarseDag`].
+/// Per-cluster annotations of a [`Coarsening`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterInfo {
     /// Number of original vertices in the cluster.
@@ -104,8 +96,6 @@ pub struct ClusterInfo {
     pub out_boundary: usize,
     /// Tagged inputs of the original graph inside the cluster.
     pub inputs: usize,
-    /// Tagged outputs of the original graph inside the cluster.
-    pub outputs: usize,
     /// Tagged outputs inside the cluster that are not also tagged
     /// inputs (`|O_c \ I_c|`): with [`inputs`](ClusterInfo::inputs),
     /// the counts behind the trivial bound of the cluster's induced
@@ -116,42 +106,28 @@ pub struct ClusterInfo {
     pub first_vertex: VertexId,
 }
 
-/// A cluster assignment contracted into a super-vertex DAG, with the
-/// per-cluster annotations the hierarchical pipeline reports.
-///
-/// Super-vertex `k` of [`graph`](CoarseDag::graph) is cluster `k` of the
-/// assignment; `graph` has one (deduplicated) edge `i → j` whenever some
-/// original edge crosses from cluster `i` to cluster `j`. A super-vertex
-/// is tagged input iff its cluster contains a tagged input and has no
-/// coarse predecessor, and tagged output iff its cluster contains a
-/// tagged output.
+/// The census of a cluster assignment: per-cluster annotations plus the
+/// two crossing-edge totals the hierarchical pipeline reports.
 #[derive(Debug, Clone)]
-pub struct CoarseDag {
-    /// The contracted super-vertex DAG (`num_clusters` vertices).
-    pub graph: Cdag,
-    /// `cluster_of[v]` = super-vertex id of original vertex `v`.
-    pub cluster_of: Vec<usize>,
-    /// Per-cluster annotations, indexed by super-vertex id.
+pub struct Coarsening {
+    /// Per-cluster annotations, indexed by cluster.
     pub clusters: Vec<ClusterInfo>,
-    /// Original edges that cross clusters (before deduplication) — the
-    /// communication volume the contraction hides.
+    /// Original edges that cross clusters — the communication volume the
+    /// clustering hides.
     pub cut_edges: usize,
+    /// Distinct ordered cluster pairs `(i, j)`, `i ≠ j`, joined by at
+    /// least one crossing edge: the edge count of the cluster quotient.
+    pub coarse_edges: usize,
 }
 
-impl CoarseDag {
-    /// Vertex count of the *original* graph.
-    pub fn original_vertices(&self) -> usize {
-        self.cluster_of.len()
-    }
-}
-
-/// Contracts `assignment` (cluster index per vertex, contiguous
-/// `0..num_clusters`) into a [`CoarseDag`].
+/// Counts `assignment` (cluster index per vertex, contiguous
+/// `0..num_clusters`) into a [`Coarsening`].
 ///
-/// Runs in `O(|V| + |E| + K log K)` and never clones the original
-/// graph's payload, so it is safe at 10⁷–10⁸ vertices. Fails with
-/// [`CoarsenError::CyclicQuotient`] when the assignment does not induce
-/// a DAG on the clusters.
+/// Runs in `O(|V| + |E| · log P)`, where `P ≤ K²` is the number of
+/// distinct cluster pairs, and allocates nothing sized by `|V|` or `|E|`,
+/// so it is safe at 10⁷–10⁸ vertices. Any total disjoint assignment is
+/// accepted, cyclic quotients included: Theorem 2 needs no order among
+/// the clusters.
 ///
 /// ```
 /// use dmc_cdag::coarsen::coarsen;
@@ -164,16 +140,16 @@ impl CoarseDag {
 /// b.tag_output(y);
 /// let g = b.build().unwrap();
 /// let coarse = coarsen(&g, &[0, 0, 1], 2).unwrap();
-/// assert_eq!(coarse.graph.num_vertices(), 2);
-/// assert_eq!(coarse.graph.num_edges(), 1);
+/// assert_eq!(coarse.clusters.len(), 2);
+/// assert_eq!((coarse.cut_edges, coarse.coarse_edges), (1, 1));
 /// assert_eq!(coarse.clusters[0].out_boundary, 1);
-/// assert_eq!(coarse.clusters[1].outputs, 1);
+/// assert_eq!(coarse.clusters[1].pure_outputs, 1);
 /// ```
 pub fn coarsen(
     g: &Cdag,
     assignment: &[usize],
     num_clusters: usize,
-) -> Result<CoarseDag, CoarsenError> {
+) -> Result<Coarsening, CoarsenError> {
     let n = g.num_vertices();
     if assignment.len() != n {
         return Err(CoarsenError::AssignmentLength {
@@ -188,7 +164,6 @@ pub fn coarsen(
             in_boundary: 0,
             out_boundary: 0,
             inputs: 0,
-            outputs: 0,
             pure_outputs: 0,
             first_vertex: VertexId(0),
         };
@@ -208,71 +183,39 @@ pub fn coarsen(
             info.first_vertex = v;
         }
         info.vertices += 1;
-        let input = g.is_input(v);
-        if input {
+        if g.is_input(v) {
             info.inputs += 1;
-        }
-        if g.is_output(v) {
-            info.outputs += 1;
-            if !input {
-                info.pure_outputs += 1;
-            }
+        } else if g.is_output(v) {
+            info.pure_outputs += 1;
         }
         if g.predecessors(v).iter().any(|p| assignment[p.index()] != c) {
             info.in_boundary += 1;
         }
-        if g.successors(v).iter().any(|s| assignment[s.index()] != c) {
+        let internal = g
+            .successors(v)
+            .iter()
+            .filter(|s| assignment[s.index()] == c)
+            .count();
+        info.internal_edges += internal;
+        if internal < g.out_degree(v) {
             info.out_boundary += 1;
         }
     }
     if let Some(c) = clusters.iter().position(|i| i.vertices == 0) {
         return Err(CoarsenError::EmptyCluster(c));
     }
-
-    let mut cut_edges = 0usize;
-    let mut coarse_edges: Vec<(usize, usize)> = Vec::new();
-    for (u, v) in g.edges() {
-        let (cu, cv) = (assignment[u.index()], assignment[v.index()]);
-        if cu == cv {
-            clusters[cu].internal_edges += 1;
-        } else {
-            cut_edges += 1;
-            coarse_edges.push((cu, cv));
-        }
-    }
-    coarse_edges.sort_unstable();
-    coarse_edges.dedup();
-
-    let mut has_pred = vec![false; num_clusters];
-    for &(_, v) in &coarse_edges {
-        has_pred[v] = true;
-    }
-    let mut b = CdagBuilder::with_capacity(num_clusters, coarse_edges.len());
-    let first = b.add_vertices(num_clusters);
-    debug_assert_eq!(first, VertexId(0));
-    for (c, info) in clusters.iter().enumerate() {
-        if info.inputs > 0 && !has_pred[c] {
-            b.tag_input(VertexId(c as u32));
-        }
-        if info.outputs > 0 {
-            b.tag_output(VertexId(c as u32));
-        }
-    }
-    for &(cu, cv) in &coarse_edges {
-        b.add_edge(VertexId(cu as u32), VertexId(cv as u32));
-    }
-    let graph = b.build().map_err(|_| CoarsenError::CyclicQuotient)?;
-    Ok(CoarseDag {
-        graph,
-        cluster_of: assignment.to_vec(),
+    let internal_edges: usize = clusters.iter().map(|c| c.internal_edges).sum();
+    Ok(Coarsening {
+        cut_edges: g.num_edges() - internal_edges,
+        coarse_edges: QuotientGraph::new(g, assignment).edges.len(),
         clusters,
-        cut_edges,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::CdagBuilder;
     use crate::topo::topological_order;
 
     fn diamond() -> Cdag {
@@ -289,8 +232,8 @@ mod tests {
     fn contracts_diamond_into_chain() {
         let g = diamond();
         let coarse = coarsen(&g, &[0, 0, 0, 1], 2).unwrap();
-        assert_eq!(coarse.graph.num_vertices(), 2);
-        assert_eq!(coarse.graph.num_edges(), 1);
+        assert_eq!(coarse.clusters.len(), 2);
+        assert_eq!(coarse.coarse_edges, 1);
         assert_eq!(coarse.cut_edges, 2); // x→d and y→d cross, deduped to one coarse edge
         assert_eq!(coarse.clusters[0].vertices, 3);
         assert_eq!(coarse.clusters[0].internal_edges, 2);
@@ -300,18 +243,6 @@ mod tests {
         assert_eq!(coarse.clusters[1].first_vertex, VertexId(3));
         assert_eq!(coarse.clusters[0].inputs, 1);
         assert_eq!(coarse.clusters[1].pure_outputs, 1);
-        // Input/output tags lift to the super-vertices.
-        assert!(coarse.graph.is_input(VertexId(0)));
-        assert!(coarse.graph.is_output(VertexId(1)));
-    }
-
-    #[test]
-    fn input_tag_dropped_when_cluster_has_coarse_predecessor() {
-        // Cluster 1 = {x, y, d} contains no input; cluster {a} feeds it.
-        let g = diamond();
-        let coarse = coarsen(&g, &[0, 1, 1, 1], 2).unwrap();
-        assert!(coarse.graph.is_input(VertexId(0)));
-        assert!(!coarse.graph.is_input(VertexId(1)));
     }
 
     #[test]
@@ -325,22 +256,21 @@ mod tests {
         b.tag_output(x);
         let g = b.build().unwrap();
         let coarse = coarsen(&g, &[0, 0, 1], 2).unwrap();
-        assert_eq!(
-            (coarse.clusters[0].inputs, coarse.clusters[0].outputs),
-            (2, 1)
-        );
+        assert_eq!(coarse.clusters[0].inputs, 2);
         assert_eq!(coarse.clusters[0].pure_outputs, 0);
         assert_eq!(coarse.clusters[1].pure_outputs, 1);
     }
 
     #[test]
-    fn cyclic_quotient_is_rejected() {
+    fn cyclic_clustering_counts_both_directions() {
         let g = diamond();
-        // {a, d} vs {x, y}: edges cross in both directions.
-        assert_eq!(
-            coarsen(&g, &[0, 1, 1, 0], 2).unwrap_err(),
-            CoarsenError::CyclicQuotient
-        );
+        // {a, d} vs {x, y}: all four edges cross, two each way, so the
+        // quotient has the two edges 0 → 1 and 1 → 0.
+        let coarse = coarsen(&g, &[0, 1, 1, 0], 2).unwrap();
+        assert_eq!(coarse.coarse_edges, 2);
+        assert_eq!(coarse.cut_edges, 4);
+        assert_eq!(coarse.clusters[0].internal_edges, 0);
+        assert_eq!(coarse.clusters[1].internal_edges, 0);
     }
 
     #[test]
@@ -365,8 +295,8 @@ mod tests {
 
     #[test]
     fn interval_clustering_of_topo_order_always_contracts() {
-        // Any contiguous-interval clustering of a topological order has
-        // an acyclic quotient: edges only go forward in the order.
+        // A contiguous-interval clustering of a topological order has
+        // only forward crossing edges: at most one coarse edge here.
         let g = diamond();
         let order = topological_order(&g);
         let mut assignment = vec![0usize; g.num_vertices()];
@@ -374,8 +304,8 @@ mod tests {
             assignment[v.index()] = pos * 2 / order.len();
         }
         let coarse = coarsen(&g, &assignment, 2).unwrap();
-        assert_eq!(coarse.graph.num_vertices(), 2);
-        assert!(coarse.graph.num_edges() <= 1);
+        assert_eq!(coarse.clusters.len(), 2);
+        assert!(coarse.coarse_edges <= 1);
         let total: usize = coarse.clusters.iter().map(|c| c.vertices).sum();
         assert_eq!(total, g.num_vertices());
     }
@@ -384,8 +314,8 @@ mod tests {
     fn single_cluster_contracts_to_one_vertex() {
         let g = diamond();
         let coarse = coarsen(&g, &[0, 0, 0, 0], 1).unwrap();
-        assert_eq!(coarse.graph.num_vertices(), 1);
-        assert_eq!(coarse.graph.num_edges(), 0);
+        assert_eq!(coarse.clusters.len(), 1);
+        assert_eq!(coarse.coarse_edges, 0);
         assert_eq!(coarse.cut_edges, 0);
         assert_eq!(coarse.clusters[0].internal_edges, g.num_edges());
     }

@@ -58,13 +58,6 @@ impl ConvexCut {
         &self.s_side
     }
 
-    /// The `T` side (complement of `S`).
-    pub fn t_side(&self) -> BitSet {
-        let mut t = self.s_side.clone();
-        t.complement();
-        t
-    }
-
     /// `true` if `v ∈ S`.
     pub fn in_s(&self, v: VertexId) -> bool {
         self.s_side.contains(v.index())

@@ -1,6 +1,6 @@
 //! Graphviz DOT export for visual inspection of small CDAGs.
 
-use crate::graph::{Cdag, VertexId};
+use crate::graph::Cdag;
 use std::fmt::Write as _;
 
 /// Renders `g` in Graphviz DOT syntax.
@@ -32,21 +32,6 @@ pub fn to_dot(g: &Cdag) -> String {
     out
 }
 
-/// Renders `g` with an additional highlight set (e.g. a wavefront or a
-/// partition block) drawn filled red.
-pub fn to_dot_highlight(g: &Cdag, highlight: &[VertexId]) -> String {
-    let mut base = to_dot(g);
-    let inserts: String = highlight
-        .iter()
-        .map(|v| format!("  v{} [style=filled, fillcolor=salmon];\n", v.0))
-        .collect();
-    // Insert before the closing brace.
-    base.truncate(base.len() - 2);
-    base.push_str(&inserts);
-    base.push_str("}\n");
-    base
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,15 +59,5 @@ mod tests {
         b.add_input("say \"hi\"");
         let g = b.build().unwrap();
         assert!(to_dot(&g).contains("say \\\"hi\\\""));
-    }
-
-    #[test]
-    fn highlight_appends_styles() {
-        let mut b = CdagBuilder::new();
-        let a = b.add_input("a");
-        let g = b.build().unwrap();
-        let dot = to_dot_highlight(&g, &[a]);
-        assert!(dot.contains("fillcolor=salmon"));
-        assert!(dot.ends_with("}\n"));
     }
 }

@@ -340,22 +340,6 @@ pub fn vertex_min_cut(
     sinks: &BitSet,
     opts: VertexCutOptions,
 ) -> Option<VertexCut> {
-    let mut net = FlowNetwork::new(0);
-    vertex_min_cut_into(g, sources, sinks, opts, &mut net)
-}
-
-/// Scratch-reusing variant of [`vertex_min_cut`]: the split network is
-/// rebuilt inside `net`'s retained buffers instead of a fresh allocation.
-/// Intended for batched callers solving one cut per anchor
-/// ([`crate::engine::WavefrontEngine`]); results are identical to
-/// [`vertex_min_cut`].
-pub fn vertex_min_cut_into(
-    g: &Cdag,
-    sources: &BitSet,
-    sinks: &BitSet,
-    opts: VertexCutOptions,
-    net: &mut FlowNetwork,
-) -> Option<VertexCut> {
     let n = g.num_vertices();
     if sources.is_empty() || sinks.is_empty() {
         return Some(VertexCut {
@@ -365,7 +349,7 @@ pub fn vertex_min_cut_into(
     }
     // Node layout: v_in = 2v, v_out = 2v + 1, super-source = 2n, sink = 2n+1.
     let (s, t) = (2 * n, 2 * n + 1);
-    net.reset(2 * n + 2);
+    let mut net = FlowNetwork::new(2 * n + 2);
     for v in 0..n {
         let is_src = sources.contains(v);
         let is_snk = sinks.contains(v);
@@ -401,7 +385,7 @@ pub fn vertex_min_cut_into(
 
 /// Warm-started per-anchor wavefront cuts over a fixed CDAG.
 ///
-/// [`vertex_min_cut_into`] rebuilds the whole split network — arcs, CSR
+/// [`vertex_min_cut`] builds the whole split network — arcs, CSR
 /// adjacency, and flow — for every anchor, and every BFS phase of its solve
 /// walks the *entire* network, including the deep interior of the source
 /// and sink regions where the cut can never pass. `WarmCut` removes both

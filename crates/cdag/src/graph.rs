@@ -206,23 +206,6 @@ impl Cdag {
         c
     }
 
-    /// Convenience: retag with Hong–Kung conventions — every source vertex
-    /// becomes an input and every sink vertex an output.
-    pub fn retag_hong_kung(&self) -> Cdag {
-        let n = self.num_vertices();
-        let mut ins = BitSet::new(n);
-        let mut outs = BitSet::new(n);
-        for v in self.vertices() {
-            if self.in_degree(v) == 0 {
-                ins.insert(v.index());
-            }
-            if self.out_degree(v) == 0 {
-                outs.insert(v.index());
-            }
-        }
-        self.retag(ins, outs)
-    }
-
     /// Checks the Hong–Kung well-formedness convention used by
     /// Definition 2: every source is an input and every sink is an output.
     pub fn is_hong_kung_form(&self) -> bool {
@@ -332,7 +315,7 @@ mod tests {
         assert_eq!(g2.num_outputs(), 0);
         assert_eq!(g2.num_edges(), g.num_edges());
         assert!(!g2.is_hong_kung_form());
-        let g3 = g2.retag_hong_kung();
+        let g3 = g2.retag(g.inputs().clone(), g.outputs().clone());
         assert!(g3.is_hong_kung_form());
         assert!(g3.is_input(VertexId(0)));
         assert!(g3.is_output(VertexId(3)));

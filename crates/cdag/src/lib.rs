@@ -36,8 +36,8 @@
 //! * weakly-connected components for automatic decomposition
 //!   ([`components`]),
 //! * induced sub-CDAGs and quotient graphs for decomposition ([`subgraph`]),
-//! * cluster contraction into annotated super-vertex DAGs for the
-//!   hierarchical pipeline ([`mod@coarsen`]),
+//! * per-cluster censuses of a cluster assignment for the hierarchical
+//!   pipeline ([`mod@coarsen`]),
 //! * Graphviz DOT export ([`dot`]).
 
 #![forbid(unsafe_code)]
@@ -63,7 +63,7 @@ pub mod topo;
 
 pub use bitset::BitSet;
 pub use builder::CdagBuilder;
-pub use coarsen::{coarsen, CoarseDag};
+pub use coarsen::{coarsen, Coarsening};
 pub use components::{weakly_connected_components, Components};
 pub use cut::{ConvexCut, Wavefront};
 pub use engine::{EngineRun, WavefrontEngine};

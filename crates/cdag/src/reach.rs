@@ -30,18 +30,6 @@ pub fn descendants_into(g: &Cdag, v: VertexId, out: &mut BitSet, stack: &mut Vec
     closure_into(g, v, Direction::Forward, out, stack)
 }
 
-/// Set of all vertices reachable from any seed in `seeds` (following edges
-/// forward), *including* the seeds.
-pub fn forward_closure(g: &Cdag, seeds: &BitSet) -> BitSet {
-    multi_closure(g, seeds, Direction::Forward)
-}
-
-/// Set of all vertices that can reach any seed in `seeds` (following edges
-/// backward), *including* the seeds.
-pub fn backward_closure(g: &Cdag, seeds: &BitSet) -> BitSet {
-    multi_closure(g, seeds, Direction::Backward)
-}
-
 /// `true` if a directed path `u ⇝ v` exists (including `u == v`).
 ///
 /// Allocates fresh scratch per call; use [`reaches_into`] in loops.
@@ -409,25 +397,6 @@ fn closure_into(
     }
 }
 
-fn multi_closure(g: &Cdag, seeds: &BitSet, dir: Direction) -> BitSet {
-    let mut out = BitSet::new(g.num_vertices());
-    let mut stack: Vec<VertexId> = Vec::new();
-    for s in seeds.iter() {
-        let v = VertexId(s as u32);
-        if out.insert(s) {
-            stack.push(v);
-        }
-    }
-    while let Some(u) = stack.pop() {
-        for &w in neighbors(g, u, dir) {
-            if out.insert(w.index()) {
-                stack.push(w);
-            }
-        }
-    }
-    out
-}
-
 /// All-pairs reachability for small graphs: `result[u]` is the forward
 /// closure of `{u}` including `u`. Quadratic memory — intended for the
 /// exhaustive validators and tests, not production-size CDAGs.
@@ -646,16 +615,6 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         batch.fill_sinks(1, &mut s);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn closures_include_seeds() {
-        let g = diamond();
-        let seeds = BitSet::from_indices(4, [1, 2]);
-        let fwd = forward_closure(&g, &seeds);
-        assert_eq!(fwd.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        let bwd = backward_closure(&g, &seeds);
-        assert_eq!(bwd.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Induced sub-CDAGs and quotient graphs — the substrate of the paper's
 //! decomposition machinery (Theorem 2, Theorem 4) and of S-partition
 //! validation (conditions P1/P2 of Definitions 3 and 5).
+//!
+//! [`decompose`] splits a CDAG into the sub-CDAGs induced by a disjoint
+//! partition in one pass over the vertices and edges.
+//! [`QuotientGraph`] is the one place inter-block edges are
+//! deduplicated: partition validation reads its edge list, and
+//! [`coarsen`](crate::coarsen::coarsen) its edge count.
+
+use std::collections::BTreeSet;
 
 use crate::bitset::BitSet;
 use crate::builder::CdagBuilder;
@@ -29,50 +37,50 @@ impl InducedSubCdag {
     }
 }
 
-/// Induces the sub-CDAG of `g` on the vertex set `verts`.
-pub fn induce(g: &Cdag, verts: &BitSet) -> InducedSubCdag {
-    let n = g.num_vertices();
-    assert_eq!(verts.capacity(), n, "vertex set capacity mismatch");
-    let mut to_parent = Vec::with_capacity(verts.len());
-    let mut from_parent = vec![u32::MAX; n];
-    for i in verts.iter() {
-        from_parent[i] = to_parent.len() as u32;
-        to_parent.push(VertexId(i as u32));
-    }
-    let mut b = CdagBuilder::with_capacity(to_parent.len(), 0);
-    for &pv in &to_parent {
-        let id = b.add_vertex(g.label(pv).to_string());
-        if g.is_input(pv) {
-            b.tag_input(id);
-        }
-        if g.is_output(pv) {
-            b.tag_output(id);
-        }
-    }
-    for &pv in &to_parent {
-        let u = VertexId(from_parent[pv.index()]);
-        for &s in g.successors(pv) {
-            let m = from_parent[s.index()];
-            if m != u32::MAX {
-                b.add_edge(u, VertexId(m));
-            }
-        }
-    }
-    let cdag = b.build_valid("induced subgraph of a DAG is a DAG with source inputs");
-    InducedSubCdag { cdag, to_parent }
-}
-
 /// Splits `g` into the sub-CDAGs induced by a disjoint partition
 /// (`assignment[v]` = block index of vertex `v`). Blocks must be numbered
 /// `0..num_blocks` contiguously.
+///
+/// Each piece lists its vertices in increasing parent id and, per
+/// vertex, its internal out-edges in the parent's successor order. One
+/// pass buckets the vertices by block, so the work and the scratch are
+/// `O(|V| + |E| + num_blocks)` at any block count.
 pub fn decompose(g: &Cdag, assignment: &[usize], num_blocks: usize) -> Vec<InducedSubCdag> {
     assert_eq!(assignment.len(), g.num_vertices());
-    let mut sets = vec![BitSet::new(g.num_vertices()); num_blocks];
+    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); num_blocks];
+    // `local[v]` = index of `v` within its own block.
+    let mut local: Vec<u32> = Vec::with_capacity(assignment.len());
     for (v, &blk) in assignment.iter().enumerate() {
         assert!(blk < num_blocks, "block index {blk} out of range");
-        sets[blk].insert(v);
+        local.push(members[blk].len() as u32);
+        members[blk].push(VertexId(v as u32));
     }
-    sets.iter().map(|s| induce(g, s)).collect()
+    members
+        .into_iter()
+        .enumerate()
+        .map(|(blk, to_parent)| {
+            let mut b = CdagBuilder::with_capacity(to_parent.len(), 0);
+            for &pv in &to_parent {
+                let id = b.add_vertex(g.label(pv).to_string());
+                if g.is_input(pv) {
+                    b.tag_input(id);
+                }
+                if g.is_output(pv) {
+                    b.tag_output(id);
+                }
+            }
+            for &pv in &to_parent {
+                let u = VertexId(local[pv.index()]);
+                for &s in g.successors(pv) {
+                    if assignment[s.index()] == blk {
+                        b.add_edge(u, VertexId(local[s.index()]));
+                    }
+                }
+            }
+            let cdag = b.build_valid("induced subgraph of a DAG is a DAG with source inputs");
+            InducedSubCdag { cdag, to_parent }
+        })
+        .collect()
 }
 
 /// The *input set* `In(V_i)` of Definition 5: vertices of `V \ V_i` with at
@@ -113,24 +121,32 @@ pub struct QuotientGraph {
 
 impl QuotientGraph {
     /// Builds the quotient of `g` under `assignment`.
+    ///
+    /// Each crossing pair goes into an ordered set as it is met, so the
+    /// scratch holds distinct pairs only, never one entry per edge
+    /// (`BTreeSet`'s `FromIterator` would buffer and sort its whole
+    /// input).
     pub fn new(g: &Cdag, assignment: &[usize]) -> Self {
         assert_eq!(assignment.len(), g.num_vertices());
-        let mut edges: Vec<(usize, usize)> = g
-            .edges()
-            .map(|(u, v)| (assignment[u.index()], assignment[v.index()]))
-            .filter(|(a, b)| a != b)
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        QuotientGraph { edges }
+        let mut pairs = BTreeSet::new();
+        for (u, v) in g.edges() {
+            let (a, b) = (assignment[u.index()], assignment[v.index()]);
+            if a != b {
+                pairs.insert((a, b));
+            }
+        }
+        QuotientGraph {
+            edges: pairs.into_iter().collect(),
+        }
     }
 
     /// `true` if two blocks have edges in both directions — the "circuit
     /// between subsets" forbidden by condition P2 of Definitions 3 and 5.
     ///
     /// Membership of the reversed edge is checked by binary search:
-    /// [`QuotientGraph::new`] sorts and deduplicates `edges`, so the list
-    /// is its own ordered index (lint rule D1 — no hash set needed).
+    /// [`QuotientGraph::new`] lists `edges` sorted and deduplicated, so
+    /// the list is its own ordered index (lint rule D1 — no hash set
+    /// needed).
     pub fn has_pairwise_circuit(&self) -> bool {
         debug_assert!(self.edges.windows(2).all(|w| w[0] < w[1]), "edges sorted");
         self.edges
@@ -156,7 +172,7 @@ mod tests {
     #[test]
     fn induce_keeps_internal_edges_and_tags() {
         let g = diamond();
-        let sub = induce(&g, &BitSet::from_indices(4, [0, 1, 3]));
+        let sub = &decompose(&g, &[0, 0, 1, 0], 2)[0];
         assert_eq!(sub.cdag.num_vertices(), 3);
         // Edges a->b and b->d survive; a->c and c->d are dropped.
         assert_eq!(sub.cdag.num_edges(), 2);
@@ -170,7 +186,7 @@ mod tests {
     fn induced_pred_free_vertices_are_not_inputs() {
         let g = diamond();
         // {b, c, d}: b and c lose their predecessor a but stay non-inputs.
-        let sub = induce(&g, &BitSet::from_indices(4, [1, 2, 3]));
+        let sub = &decompose(&g, &[0, 1, 1, 1], 2)[1];
         assert_eq!(sub.cdag.num_inputs(), 0);
         assert_eq!(sub.cdag.in_degree(VertexId(0)), 0);
     }

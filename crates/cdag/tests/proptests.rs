@@ -18,6 +18,7 @@ use dmc_cdag::graph::{Cdag, VertexId};
 use dmc_cdag::reach::{
     all_pairs_reachability, ancestors_into, descendants_into, reaches_into, BatchReach,
 };
+use dmc_cdag::subgraph::decompose;
 use dmc_cdag::topo::{dfs_topological_order, is_valid_topological_order, topological_order};
 use proptest::prelude::*;
 
@@ -119,6 +120,19 @@ fn arb_layered_dag_in(
             }
             b.build().unwrap()
         })
+}
+
+/// Strategy: a random DAG of up to 80 vertices with every vertex assigned
+/// to one of up to 64 blocks (some blocks may stay empty).
+fn arb_partitioned_dag() -> impl Strategy<Value = (Cdag, usize, Vec<usize>)> {
+    (arb_dag(80), 1usize..65).prop_flat_map(|(g, blocks)| {
+        let n = g.num_vertices();
+        (
+            Just(g),
+            Just(blocks),
+            proptest::collection::vec(0..blocks, n),
+        )
+    })
 }
 
 /// Effectively-infinite capacity, mirroring the library's split networks.
@@ -353,6 +367,32 @@ proptest! {
     /// The content hash is a function of the canonical render alone:
     /// parsing a graph's own text form back and hashing it reproduces the
     /// hash exactly (`hash(from_text(to_text(g))) == hash(g)`).
+    /// Every piece of `decompose` is the direct filter of `g` to its
+    /// block: the block's vertices in increasing parent id with their
+    /// labels and tags, and the block-internal edges in `g.edges()` order.
+    #[test]
+    fn decompose_pieces_are_direct_filters((g, blocks, assignment) in arb_partitioned_dag()) {
+        let pieces = decompose(&g, &assignment, blocks);
+        prop_assert_eq!(pieces.len(), blocks);
+        for (blk, piece) in pieces.iter().enumerate() {
+            let members: Vec<VertexId> =
+                g.vertices().filter(|v| assignment[v.index()] == blk).collect();
+            prop_assert_eq!(&piece.to_parent, &members, "block {}", blk);
+            prop_assert_eq!(piece.cdag.num_vertices(), members.len());
+            for (i, &pv) in members.iter().enumerate() {
+                let sv = VertexId(i as u32);
+                prop_assert_eq!(piece.cdag.label(sv), g.label(pv), "block {}", blk);
+                prop_assert_eq!(piece.cdag.is_input(sv), g.is_input(pv), "block {}", blk);
+                prop_assert_eq!(piece.cdag.is_output(sv), g.is_output(pv), "block {}", blk);
+            }
+            let local = |v: VertexId| members.iter().position(|&m| m == v).map(|i| VertexId(i as u32));
+            let want: Vec<(VertexId, VertexId)> =
+                g.edges().filter_map(|(u, v)| Some((local(u)?, local(v)?))).collect();
+            let got: Vec<(VertexId, VertexId)> = piece.cdag.edges().collect();
+            prop_assert_eq!(got, want, "block {}", blk);
+        }
+    }
+
     #[test]
     fn content_hash_survives_text_round_trip(g in arb_dag(20)) {
         let text = dmc_cdag::textio::to_text(&g);

@@ -51,12 +51,13 @@
 //! [`Analyzer::analyze_hierarchical`] is the pipeline's scale path for
 //! CDAGs too large to sweep with whole-graph wavefronts (10⁷–10⁸
 //! vertices): it splits the Kahn order into `K` contiguous interval
-//! clusters ([`topological_clusters`]), contracts the clustering into an
-//! annotated super-vertex DAG ([`mod@dmc_cdag::coarsen`], reported as a
-//! structural diagnostic) in one linear pass that also counts each
-//! cluster's tagged inputs and outputs, and composes the per-cluster
-//! trivial bounds built from those counts with Theorem 2 — sound for
-//! *any* total disjoint vertex partition, crossing edges included. Up to
+//! clusters ([`topological_clusters`]), counts every cluster in one
+//! linear pass ([`mod@dmc_cdag::coarsen`]: vertices, boundaries, tagged
+//! inputs and outputs, plus the crossing edges and the distinct cluster
+//! pairs they join, reported as a structural diagnostic), and composes
+//! the per-cluster trivial bounds built from those counts with Theorem 2
+//! — sound for *any* total disjoint vertex partition, crossing edges
+//! included. No cluster graph or sub-CDAG is built. Up to
 //! 2¹⁷ vertices the flat pipeline's whole-graph wavefront member is
 //! folded in as well; beyond that every stage is linear-time.
 //!
@@ -183,12 +184,11 @@ pub struct HierarchicalOptions {
     pub clusters: Option<usize>,
 }
 
-/// Per-cluster slice of a [`HierarchyReport`]: the coarsening
-/// annotations plus the cluster's bound.
+/// Per-cluster slice of a [`HierarchyReport`]: the cluster's census
+/// plus its bound.
 #[derive(Debug, Clone)]
 pub struct ClusterSummary {
-    /// Cluster index (= super-vertex id, = interval position in the
-    /// Kahn order).
+    /// Cluster index (= interval position in the Kahn order).
     pub index: usize,
     /// Lowest original vertex id in the cluster.
     pub first_vertex: VertexId,
@@ -219,19 +219,22 @@ impl Serialize for ClusterSummary {
     }
 }
 
-/// Structural summary of the contracted super-vertex DAG.
+/// Structural summary of the cluster quotient (one node per cluster,
+/// one edge per distinct ordered pair of clusters joined by a crossing
+/// edge), counted without building it.
 ///
 /// Everything here is a *diagnostic*: cluster-granularity cuts do not
-/// certify original-graph wavefronts (a coarse path only witnesses an
+/// certify original-graph wavefronts (a quotient path only witnesses an
 /// original path when every intermediate cluster internally connects
 /// its boundaries — see the soundness note in [`mod@dmc_cdag::coarsen`]),
-/// so nothing from the coarse graph is ever folded into
+/// so nothing from the quotient is ever folded into
 /// [`AnalysisReport::bound`].
 #[derive(Debug, Clone)]
 pub struct CoarseSummary {
-    /// Super-vertex count (= cluster count).
+    /// Quotient node count (= cluster count).
     pub clusters: usize,
-    /// Deduplicated coarse edges.
+    /// Quotient edge count: distinct ordered cluster pairs joined by a
+    /// crossing edge.
     pub edges: usize,
     /// Original edges crossing clusters (before deduplication).
     pub cut_edges: usize,
@@ -254,7 +257,7 @@ impl Serialize for CoarseSummary {
 /// The hierarchy level of an [`AnalysisReport`] produced by
 /// [`Analyzer::analyze_hierarchical`]: cluster count, per-cluster
 /// bounds, the Theorem-2 composition, the optional whole-graph
-/// wavefront and the coarse-DAG diagnostics.
+/// wavefront and the cluster-quotient diagnostics.
 #[derive(Debug, Clone)]
 pub struct HierarchyReport {
     /// The requested (or auto-chosen) cluster count before clamping.
@@ -268,7 +271,7 @@ pub struct HierarchyReport {
     /// The sound whole-graph wavefront pass (`None` above 2¹⁷
     /// vertices).
     pub whole_wavefront: Option<IoBound>,
-    /// Structural summary of the contracted super-vertex DAG.
+    /// Structural summary of the cluster quotient.
     pub coarse: CoarseSummary,
 }
 
@@ -768,8 +771,8 @@ impl Analyzer {
     }
 
     /// Runs the **hierarchical** pipeline on `g`: interval-cluster the
-    /// Kahn order, contract the clustering into an annotated super-vertex
-    /// DAG (a structural diagnostic), bound every cluster by its trivial
+    /// Kahn order, count every cluster and the crossing edges (a
+    /// structural diagnostic), bound every cluster by its trivial
     /// bound, compose those with Theorem 2, and fold in the sound
     /// whole-graph wavefront pass on graphs of at most 2¹⁷ vertices.
     ///
@@ -782,8 +785,8 @@ impl Analyzer {
     /// cluster's bound is [`IoBound::trivial`] of its induced sub-CDAG,
     /// built from the tag counts [`coarsen`] takes without building the
     /// sub-CDAG. The whole-graph wavefront pass is the flat pipeline's own
-    /// Lemma-2 + Theorem-3 member. Nothing derived from the coarse
-    /// super-DAG is ever folded into the bound (see
+    /// Lemma-2 + Theorem-3 member. Nothing derived from the cluster
+    /// quotient is ever folded into the bound (see
     /// [`mod@dmc_cdag::coarsen`] for why that would be unsound).
     ///
     /// The per-cluster trivial bounds sum to the whole-graph trivial
@@ -817,8 +820,8 @@ impl Analyzer {
         let assignment = topological_clusters(g, &order, target);
         let cluster_count = assignment.iter().max().map_or(0, |&m| m + 1);
         let coarse = coarsen(g, &assignment, cluster_count)
-            // dmc-lint: allow(s1) -- contiguous intervals of a topological order always contract to a DAG
-            .expect("topological interval clustering yields an acyclic quotient");
+            // dmc-lint: allow(s1) -- topological_clusters numbers every vertex into contiguous non-empty clusters
+            .expect("topological interval clustering covers every vertex with non-empty clusters");
         let clusters: Vec<ClusterSummary> = coarse
             .clusters
             .iter()
@@ -868,8 +871,8 @@ impl Analyzer {
                 composed,
                 whole_wavefront,
                 coarse: CoarseSummary {
-                    clusters: coarse.graph.num_vertices(),
-                    edges: coarse.graph.num_edges(),
+                    clusters: coarse.clusters.len(),
+                    edges: coarse.coarse_edges,
                     cut_edges: coarse.cut_edges,
                 },
             }),

@@ -13,9 +13,7 @@
 //! * [`simulation`] — the one RBW player: [`Simulation::run`] measures one
 //!   schedule at one capacity under LRU or Belady (OPT) eviction,
 //!   [`Simulation::run_recorded`] also writes out the game's moves for
-//!   `dmc-core`'s rule checker to certify, and [`simulation::sweep`] fans
-//!   an S-sweep over scoped workers with a deterministic index-ordered
-//!   merge;
+//!   `dmc-core`'s rule checker to certify;
 //! * [`schedule`] — schedule & ownership builders: plain and level-order
 //!   schedules, the skewed (parallelogram) Jacobi tilings that realize
 //!   the `(2S)^{1/d}` reuse the paper's Theorem 10 proves optimal, and the

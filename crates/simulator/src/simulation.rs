@@ -18,9 +18,7 @@
 //! [`Simulation`] is a reset-and-reuse arena (the same pattern as the
 //! wavefront engine's `FlowNetwork`): all per-run state lives in retained
 //! vectors indexed by vertex id, so sweeping hundreds of `S` values
-//! allocates nothing after the first run. [`sweep`] fans an S-sweep over
-//! `std::thread::scope` workers — one arena per worker, index-ordered
-//! merge — so sweep reports are bit-identical at any thread count.
+//! allocates nothing after the first run.
 //!
 //! # Determinism
 //!
@@ -63,7 +61,6 @@
 //! No hash-map iteration is involved anywhere, so traces are reproducible
 //! across runs, processes, and thread counts.
 
-use dmc_cdag::fanout::fan_out_indexed;
 use dmc_cdag::{Cdag, VertexId};
 use std::cmp::Reverse;
 use std::fmt;
@@ -720,46 +717,6 @@ impl Simulation {
     }
 }
 
-/// One point of an S-sweep: the capacity and the outcome at it.
-pub type SweepPoint = (u64, Result<Trace, SimError>);
-
-/// Runs `schedule` at every capacity in `srams`, fanning the points over
-/// `threads` scoped workers (`0` = `std::thread::available_parallelism`),
-/// each with its own [`Simulation`] arena.
-///
-/// Workers pull point indices from a shared atomic queue and the merge
-/// reassembles results by index, so the report is **bit-identical at any
-/// thread count** — the same guarantee the wavefront engine and the
-/// analysis pipeline give.
-///
-/// ```
-/// use dmc_cdag::topo::topological_order;
-/// use dmc_kernels::chains::two_stage;
-/// use dmc_sim::simulation::{sweep, CachePolicy};
-///
-/// let g = two_stage(8);
-/// let order = topological_order(&g);
-/// let points = sweep(&g, &order, CachePolicy::Lru, &[10, 12, 16], 2);
-/// let io: Vec<u64> = points
-///     .iter()
-///     .map(|(_, t)| t.as_ref().unwrap().io())
-///     .collect();
-/// // More fast memory never hurts on a fixed schedule + policy here.
-/// assert!(io.windows(2).all(|w| w[0] >= w[1]), "{io:?}");
-/// assert_eq!(points, sweep(&g, &order, CachePolicy::Lru, &[10, 12, 16], 1));
-/// ```
-pub fn sweep(
-    g: &Cdag,
-    schedule: &[VertexId],
-    policy: CachePolicy,
-    srams: &[u64],
-    threads: usize,
-) -> Vec<SweepPoint> {
-    fan_out_indexed(srams.len(), threads, Simulation::new, |sim, i| {
-        (srams[i], sim.run(g, schedule, policy, srams[i]))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,21 +880,6 @@ mod tests {
                 let b = Simulation::new().run(&g, &order, policy, s).unwrap();
                 assert_eq!(a, b, "S = {s} {policy}");
             }
-        }
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let g = chains::ladder(8, 8);
-        let order = topological_order(&g);
-        let srams: Vec<u64> = (4..24).collect();
-        let base = sweep(&g, &order, CachePolicy::Lru, &srams, 1);
-        for threads in [2usize, 4, 7] {
-            assert_eq!(
-                base,
-                sweep(&g, &order, CachePolicy::Lru, &srams, threads),
-                "@ {threads} threads"
-            );
         }
     }
 

@@ -1,8 +1,8 @@
 //! End-to-end tests of the hierarchical analysis mode: dominance of the
 //! flat pipeline across the whole kernel catalog, RBW-optimum soundness
 //! of the composed bound, thread-count invariance of the full hierarchy
-//! report, and the configurable admission limit behind `repro analyze
-//! --max-vertices`.
+//! report, its coarse block at recorded values, and the configurable
+//! admission limit behind `repro analyze --max-vertices`.
 
 use dmc::cdag::Cdag;
 use dmc::core::games::optimal::{optimal_io, GameKind};
@@ -75,6 +75,27 @@ fn admission_limit_is_configurable_and_loud() {
         "error must name the remedy: {msg}"
     );
     assert!(registry.parse_within(spec, 1 << 23).is_ok());
+}
+
+/// The report's coarse block — clusters, quotient edges, cut edges — on
+/// two Section-5 kernels, at values recorded while the clustering was
+/// still contracted into a super-vertex DAG: counting the clusters
+/// without building that DAG must not move them.
+#[test]
+fn coarse_block_matches_recorded_values() {
+    let registry = Registry::shared();
+    for (spec, clusters, want) in [
+        ("cg(n=32,d=2,t=4)", 16, (16, 44, 51_610)),
+        ("gmres(n=16,d=2,m=4)", 8, (8, 18, 8_413)),
+    ] {
+        let parsed = registry.parse(spec).expect("valid spec");
+        let opts = HierarchicalOptions {
+            clusters: Some(clusters),
+        };
+        let report = analyzer(64, 1).analyze_kernel_hierarchical(&parsed, &opts);
+        let c = &report.hierarchy.as_ref().expect("hierarchy level").coarse;
+        assert_eq!((c.clusters, c.edges, c.cut_edges), want, "{spec}");
+    }
 }
 
 /// Tiny graphs where the exact RBW optimum is computable; the
