@@ -519,8 +519,7 @@ pub fn list_catalog() -> String {
 
 /// The spec strings of the E16 scale curve: sparse random layered DAGs
 /// from 2^20 up past 10^7 vertices (layers × 65536-wide layers, expected
-/// in-degree 3). Shared with `benches/hierarchical.rs` so the bench and
-/// the table measure the same graphs.
+/// in-degree 3).
 pub const E16_LAYERS: [usize; 4] = [16, 40, 80, 160];
 
 /// Renders one E16 spec string for a layer count.

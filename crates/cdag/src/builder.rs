@@ -51,6 +51,10 @@ impl std::error::Error for BuildError {}
 /// ```
 #[derive(Default, Clone)]
 pub struct CdagBuilder {
+    /// Vertices added so far.
+    n: u32,
+    /// Labels by id, up to the last labeled vertex only: a vertex past
+    /// the end, or one added without a label, reads `""`.
     labels: Vec<String>,
     edges: Vec<(VertexId, VertexId)>,
     input_tags: Vec<VertexId>,
@@ -67,6 +71,7 @@ impl CdagBuilder {
     /// Creates an empty builder with vertex/edge capacity hints.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         CdagBuilder {
+            n: 0,
             labels: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
             input_tags: Vec::new(),
@@ -85,29 +90,38 @@ impl CdagBuilder {
 
     /// Number of vertices added so far.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.n as usize
     }
 
     /// `true` when no vertex has been added.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.n == 0
     }
 
     /// Adds an untagged vertex with a label; returns its id.
+    ///
+    /// A non-empty label pads the label vector with empty labels up to
+    /// this id and is stored there; an empty label stores nothing.
     pub fn add_vertex(&mut self, label: impl Into<String>) -> VertexId {
-        let id = VertexId(self.labels.len() as u32);
-        self.labels.push(label.into());
+        let id = VertexId(self.n);
+        self.n += 1;
+        let label = label.into();
+        if !label.is_empty() {
+            self.labels.resize(id.index(), String::new());
+            self.labels.push(label);
+        }
         id
     }
 
     /// Bulk-adds `count` untagged, *unlabeled* vertices and returns the
     /// id of the first one (ids are consecutive) — the streaming path
-    /// for generators emitting 10⁷–10⁸-vertex graphs, where one heap
-    /// `String` per vertex would dominate both time and memory. Empty
-    /// labels never allocate; [`Cdag::label`] renders them as `""`.
+    /// for generators emitting 10⁷–10⁸-vertex graphs. It only advances
+    /// the vertex count: nothing is stored per vertex, and
+    /// [`Cdag::label`] reads `""` for every vertex past the last labeled
+    /// one.
     pub fn add_vertices(&mut self, count: usize) -> VertexId {
-        let id = VertexId(self.labels.len() as u32);
-        self.labels.resize(self.labels.len() + count, String::new());
+        let id = VertexId(self.n);
+        self.n += count as u32;
         id
     }
 
@@ -151,13 +165,22 @@ impl CdagBuilder {
 
     /// Validates and freezes the accumulated graph.
     ///
-    /// Checks performed:
+    /// Checks performed, in this order:
     /// * every edge endpoint exists ([`BuildError::DanglingEdge`]),
     /// * no self-loops ([`BuildError::SelfLoop`]),
     /// * the edge set is acyclic ([`BuildError::Cycle`]),
     /// * inputs are sources ([`BuildError::InputWithPredecessor`]).
+    ///
+    /// The endpoint scan also notes whether every edge `(u, v)` has
+    /// `u < v`, as when each edge runs from an earlier-added vertex to a
+    /// later one (the way [`CdagBuilder::add_op`] and the kernel
+    /// generators wire them). If so, id order is a topological order and
+    /// the graph is acyclic with no further work. Otherwise Kahn's
+    /// algorithm decides, and a cycle is reported through the lowest-id
+    /// vertex it leaves with nonzero in-degree.
     pub fn build(mut self) -> Result<Cdag, BuildError> {
-        let n = self.labels.len() as u32;
+        let n = self.n;
+        let mut id_ordered = true;
         for &(u, v) in &self.edges {
             if u.0 >= n || v.0 >= n {
                 return Err(BuildError::DanglingEdge(u, v));
@@ -165,6 +188,7 @@ impl CdagBuilder {
             if u == v {
                 return Err(BuildError::SelfLoop(u));
             }
+            id_ordered &= u < v;
         }
         if self.dedup_edges {
             self.edges.sort_unstable();
@@ -195,29 +219,8 @@ impl CdagBuilder {
             rev_cursor[v.index()] += 1;
         }
 
-        // Kahn's algorithm for cycle detection.
-        let mut indeg: Vec<u32> = (0..nn).map(|i| rev_off[i + 1] - rev_off[i]).collect();
-        let mut queue: Vec<u32> = (0..n).filter(|&i| indeg[i as usize] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            let (s, e) = (
-                fwd_off[u as usize] as usize,
-                fwd_off[u as usize + 1] as usize,
-            );
-            for &v in &fwd_adj[s..e] {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    queue.push(v.0);
-                }
-            }
-        }
-        if seen != nn {
-            // `seen != nn` means some vertex kept nonzero in-degree, so
-            // `find` always succeeds; the fallback only exists to keep
-            // this path panic-free (lint rule S1).
-            let culprit = (0..nn).find(|&i| indeg[i] > 0).unwrap_or(0);
-            return Err(BuildError::Cycle(VertexId(culprit as u32)));
+        if !id_ordered {
+            kahn_acyclic(&fwd_off, &fwd_adj, &rev_off)?;
         }
 
         let mut inputs = BitSet::new(nn);
@@ -263,6 +266,36 @@ impl CdagBuilder {
             Err(e) => panic!("builder invariant '{invariant}' violated: {e}"),
         }
     }
+}
+
+/// Kahn's algorithm over a CSR edge set: `Ok` when every vertex drains,
+/// else the lowest-id vertex left with nonzero in-degree.
+fn kahn_acyclic(fwd_off: &[u32], fwd_adj: &[VertexId], rev_off: &[u32]) -> Result<(), BuildError> {
+    let nn = rev_off.len() - 1;
+    let mut indeg: Vec<u32> = (0..nn).map(|i| rev_off[i + 1] - rev_off[i]).collect();
+    let mut queue: Vec<u32> = (0..nn as u32).filter(|&i| indeg[i as usize] == 0).collect();
+    let mut seen = 0usize;
+    while let Some(u) = queue.pop() {
+        seen += 1;
+        let (s, e) = (
+            fwd_off[u as usize] as usize,
+            fwd_off[u as usize + 1] as usize,
+        );
+        for &v in &fwd_adj[s..e] {
+            indeg[v.index()] -= 1;
+            if indeg[v.index()] == 0 {
+                queue.push(v.0);
+            }
+        }
+    }
+    if seen != nn {
+        // `seen != nn` means some vertex kept nonzero in-degree, so
+        // `find` always succeeds; the fallback only exists to keep
+        // this path panic-free (lint rule S1).
+        let culprit = (0..nn).find(|&i| indeg[i] > 0).unwrap_or(0);
+        return Err(BuildError::Cycle(VertexId(culprit as u32)));
+    }
+    Ok(())
 }
 
 /// The vertex-disjoint union of several CDAGs: vertices of `parts[k]` are
@@ -393,6 +426,46 @@ mod tests {
         // Union with a single part is a structural copy.
         let single = disjoint_union(std::slice::from_ref(&g1));
         assert_eq!(single.num_edges(), g1.num_edges());
+    }
+
+    /// Labels are stored only up to the last labeled vertex: a graph
+    /// mixing bulk unlabeled vertices, labeled adds and explicit empty
+    /// labels reads, renders and hashes exactly as the same graph with
+    /// every label given explicitly.
+    #[test]
+    fn sparse_labels_read_as_explicit_labels() {
+        let labels = ["", "", "x", "", "in", "", "", "y", "", ""];
+        let mut mixed = CdagBuilder::new();
+        assert_eq!(mixed.add_vertices(2), VertexId(0));
+        mixed.add_vertex("x");
+        mixed.add_vertex("");
+        mixed.add_input("in");
+        assert_eq!(mixed.add_vertices(2), VertexId(5));
+        mixed.add_vertex("y");
+        mixed.add_vertex("");
+        mixed.add_vertices(1);
+        let mut explicit = CdagBuilder::new();
+        for (i, &label) in labels.iter().enumerate() {
+            if i == 4 {
+                explicit.add_input(label);
+            } else {
+                explicit.add_vertex(label);
+            }
+        }
+        assert_eq!((mixed.len(), explicit.len()), (labels.len(), labels.len()));
+        for b in [&mut mixed, &mut explicit] {
+            for (u, v) in [(0, 2), (4, 2), (2, 7), (3, 9), (7, 9)] {
+                b.add_edge(VertexId(u), VertexId(v));
+            }
+            b.tag_output(VertexId(9));
+        }
+        let (m, e) = (mixed.build().unwrap(), explicit.build().unwrap());
+        for v in m.vertices() {
+            assert_eq!(m.label(v), labels[v.index()], "label of {v}");
+            assert_eq!(m.label(v), e.label(v), "label of {v}");
+        }
+        assert_eq!(crate::textio::to_text(&m), crate::textio::to_text(&e));
+        assert_eq!(m.content_hash(), e.content_hash());
     }
 
     #[test]

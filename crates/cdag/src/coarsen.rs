@@ -123,9 +123,12 @@ pub struct Coarsening {
 /// Counts `assignment` (cluster index per vertex, contiguous
 /// `0..num_clusters`) into a [`Coarsening`].
 ///
-/// Runs in `O(|V| + |E| · log P)`, where `P ≤ K²` is the number of
-/// distinct cluster pairs, and allocates nothing sized by `|V|` or `|E|`,
-/// so it is safe at 10⁷–10⁸ vertices. Any total disjoint assignment is
+/// Runs in `O(|V| + |E|)` plus `O(log P)` per set insert in
+/// [`QuotientGraph::new`], where `P ≤ K²` is the number of distinct
+/// cluster pairs: only a crossing edge whose pair differs from the last
+/// one inserted pays it, about one edge per cluster on a graph clustered
+/// layer by layer. It allocates nothing sized by `|V|` or `|E|`, so it
+/// is safe at 10⁷–10⁸ vertices. Any total disjoint assignment is
 /// accepted, cyclic quotients included: Theorem 2 needs no order among
 /// the clusters.
 ///

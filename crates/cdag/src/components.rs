@@ -3,12 +3,12 @@
 //! The substrate of the automatic decomposition pipeline: Theorem 2 sums
 //! lower bounds across *vertex-disjoint* sub-CDAGs, and the weakly
 //! connected components are the canonical disjoint split — no edges cross
-//! them, so the induced tagging loses nothing. The traversal walks the
-//! CSR adjacency in both directions ([`crate::Cdag::successors`] and
-//! [`crate::Cdag::predecessors`]) with an explicit stack.
+//! them, so the induced tagging loses nothing. Union-find over the
+//! forward edges ([`crate::Cdag::successors`]) finds them: weak
+//! connectivity ignores direction, so the predecessor lists add nothing.
 
 use crate::bitset::BitSet;
-use crate::graph::{Cdag, VertexId};
+use crate::graph::Cdag;
 
 /// A labelling of every vertex with its weakly-connected component.
 ///
@@ -47,31 +47,50 @@ impl Components {
     }
 }
 
-/// Labels every vertex of `g` with its weakly-connected component
-/// (`O(|V| + |E|)`, one pass over the CSR arrays).
+/// Labels every vertex of `g` with its weakly-connected component.
+///
+/// One pass unions the endpoints of every forward edge, with path
+/// halving and the larger root linked under the smaller, so each root is
+/// the lowest vertex of its set and every parent is lower than its
+/// child. A second pass in vertex order then numbers each root on
+/// sight and gives every other vertex its (already numbered) parent's
+/// component. The scratch is one `u32` per vertex.
 pub fn weakly_connected_components(g: &Cdag) -> Components {
     let n = g.num_vertices();
-    let mut assignment = vec![usize::MAX; n];
-    let mut stack: Vec<VertexId> = Vec::new();
-    let mut count = 0usize;
-    for start in g.vertices() {
-        if assignment[start.index()] != usize::MAX {
-            continue;
-        }
-        let c = count;
-        count += 1;
-        assignment[start.index()] = c;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &w in g.successors(v).iter().chain(g.predecessors(v)) {
-                if assignment[w.index()] == usize::MAX {
-                    assignment[w.index()] = c;
-                    stack.push(w);
-                }
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    for u in g.vertices() {
+        let mut ru = find(&mut parent, u.0);
+        for &v in g.successors(u) {
+            let rv = find(&mut parent, v.0);
+            if rv < ru {
+                parent[ru as usize] = rv;
+                ru = rv;
+            } else if ru < rv {
+                parent[rv as usize] = ru;
             }
         }
     }
+    let mut assignment = Vec::with_capacity(n);
+    let mut count = 0usize;
+    for (v, &p) in parent.iter().enumerate() {
+        if p as usize == v {
+            assignment.push(count);
+            count += 1;
+        } else {
+            assignment.push(assignment[p as usize]);
+        }
+    }
     Components { assignment, count }
+}
+
+/// The root of `x`'s set, halving the path on the way up.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grand = parent[parent[x as usize] as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
+    x
 }
 
 #[cfg(test)]

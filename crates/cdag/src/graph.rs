@@ -54,6 +54,8 @@ pub struct Cdag {
     rev_adj: Vec<VertexId>,
     inputs: BitSet,
     outputs: BitSet,
+    /// Labels by id, up to the last labeled vertex: ids past the end
+    /// read `""` (see [`Cdag::label`]).
     labels: Vec<String>,
 }
 

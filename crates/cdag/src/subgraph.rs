@@ -125,14 +125,19 @@ impl QuotientGraph {
     /// Each crossing pair goes into an ordered set as it is met, so the
     /// scratch holds distinct pairs only, never one entry per edge
     /// (`BTreeSet`'s `FromIterator` would buffer and sort its whole
-    /// input).
+    /// input). A pair equal to the last one inserted is skipped without
+    /// a set lookup: edges are met in source order, and where blocks are
+    /// intervals of a topological order, consecutive crossing edges
+    /// mostly join the same two blocks.
     pub fn new(g: &Cdag, assignment: &[usize]) -> Self {
         assert_eq!(assignment.len(), g.num_vertices());
         let mut pairs = BTreeSet::new();
+        let mut last = None;
         for (u, v) in g.edges() {
-            let (a, b) = (assignment[u.index()], assignment[v.index()]);
-            if a != b {
-                pairs.insert((a, b));
+            let pair = (assignment[u.index()], assignment[v.index()]);
+            if pair.0 != pair.1 && last != Some(pair) {
+                pairs.insert(pair);
+                last = Some(pair);
             }
         }
         QuotientGraph {

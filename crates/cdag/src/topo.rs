@@ -31,17 +31,16 @@ pub fn topological_order(g: &Cdag) -> Vec<VertexId> {
     let mut indeg: Vec<u32> = (0..n)
         .map(|i| g.in_degree(VertexId(i as u32)) as u32)
         .collect();
+    // `order` is its own FIFO: `order[head..]` is the ready queue.
     let mut order = Vec::with_capacity(n);
-    let mut queue: std::collections::VecDeque<VertexId> = (0..n)
-        .map(|i| VertexId(i as u32))
-        .filter(|v| indeg[v.index()] == 0)
-        .collect();
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
+    order.extend(g.vertices().filter(|v| indeg[v.index()] == 0));
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
         for &v in g.successors(u) {
             indeg[v.index()] -= 1;
             if indeg[v.index()] == 0 {
-                queue.push_back(v);
+                order.push(v);
             }
         }
     }

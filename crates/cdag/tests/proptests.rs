@@ -3,10 +3,15 @@
 //! Random layered DAGs exercise the structural invariants: CSR consistency,
 //! topological validity, reachability agreement, min-cut soundness
 //! (max-flow value is achieved by a separating set and matches Menger's
-//! bound from brute force on small instances).
+//! bound from brute force on small instances). Random edge lists over
+//! permuted ids check the builder's validation, and slow references check
+//! the component labelling and the block quotient.
+
+use std::collections::BTreeSet;
 
 use dmc_cdag::bitset::BitSet;
-use dmc_cdag::builder::CdagBuilder;
+use dmc_cdag::builder::{BuildError, CdagBuilder};
+use dmc_cdag::components::{weakly_connected_components, Components};
 use dmc_cdag::cut::{
     max_min_wavefront, min_wavefront, peak_schedule_wavefront, schedule_wavefront_sizes, ConvexCut,
 };
@@ -18,7 +23,7 @@ use dmc_cdag::graph::{Cdag, VertexId};
 use dmc_cdag::reach::{
     all_pairs_reachability, ancestors_into, descendants_into, reaches_into, BatchReach,
 };
-use dmc_cdag::subgraph::decompose;
+use dmc_cdag::subgraph::{decompose, QuotientGraph};
 use dmc_cdag::topo::{dfs_topological_order, is_valid_topological_order, topological_order};
 use proptest::prelude::*;
 
@@ -578,4 +583,219 @@ fn content_hash_is_comment_and_whitespace_invariant() {
     let noisy = format!("# uploaded by a client\n\n{}\n# trailing note\n", plain);
     let parsed = dmc_cdag::textio::from_text(&noisy).unwrap();
     assert_eq!(parsed.content_hash(), g.content_hash());
+}
+
+/// A raw builder input: the vertex count, the edge list in insertion
+/// order, and the vertices tagged as inputs.
+type BuilderInput = (u32, Vec<(u32, u32)>, Vec<u32>);
+
+/// A random order of `0..keys.len()`: `ids[p]` is the id given to the
+/// vertex at position `p`.
+fn permutation(keys: &[u64]) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..keys.len() as u32).collect();
+    ids.sort_by_key(|&i| keys[i as usize]);
+    ids
+}
+
+/// Every position pair `(i, j)`, `i < j < n`, in a fixed order.
+fn position_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j)))
+}
+
+/// Strategy: a [`BuilderInput`] over randomly permuted ids. A random DAG
+/// on positions (edges from lower to higher position) is renumbered by a
+/// random permutation, so its edges run both up and down in id. Then,
+/// each in about a third of the cases and at a random place in the list:
+/// a planted 2-cycle, a back edge (it closes a cycle exactly when the DAG
+/// has a path the other way), a self-loop and a dangling edge. About a
+/// fifth of the vertices are tagged inputs, sources or not.
+fn arb_builder_input() -> impl Strategy<Value = BuilderInput> {
+    (2usize..14)
+        .prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(proptest::bool::weighted(0.25), n * (n - 1) / 2),
+                proptest::collection::vec(0u64..u64::MAX, n),
+                proptest::collection::vec(0usize..n, 12),
+                proptest::collection::vec(proptest::bool::weighted(0.35), 4),
+                proptest::collection::vec(proptest::bool::weighted(0.2), n),
+            )
+        })
+        .prop_map(|(n, mask, keys, picks, plant, tagged)| {
+            let ids = permutation(&keys);
+            let mut edges: Vec<(u32, u32)> = position_pairs(n)
+                .zip(mask)
+                .filter(|&(_, keep)| keep)
+                .map(|((i, j), _)| (ids[i], ids[j]))
+                .collect();
+            let plant_at = |edges: &mut Vec<(u32, u32)>, at: usize, e: (u32, u32)| {
+                edges.insert(at % (edges.len() + 1), e);
+            };
+            let (a, b) = (picks[0], picks[1]);
+            if plant[0] && a != b {
+                plant_at(&mut edges, picks[2], (ids[a], ids[b]));
+                plant_at(&mut edges, picks[3], (ids[b], ids[a]));
+            }
+            let (lo, hi) = (picks[4].min(picks[5]), picks[4].max(picks[5]));
+            if plant[1] && lo != hi {
+                plant_at(&mut edges, picks[6], (ids[hi], ids[lo]));
+            }
+            if plant[2] {
+                plant_at(&mut edges, picks[7], (ids[picks[8]], ids[picks[8]]));
+            }
+            if plant[3] {
+                let (known, unknown) = (ids[picks[9]], (n + picks[10]) as u32);
+                let e = if picks[10] % 2 == 0 {
+                    (known, unknown)
+                } else {
+                    (unknown, known)
+                };
+                plant_at(&mut edges, picks[11], e);
+            }
+            let inputs = (0..n as u32).filter(|&v| tagged[v as usize]).collect();
+            (n as u32, edges, inputs)
+        })
+}
+
+/// What [`CdagBuilder::build`] must return on a [`BuilderInput`], decided
+/// the slow way: endpoint errors in edge order (a dangling endpoint
+/// before a self-loop), then Kahn's algorithm peeling one source at a
+/// time, reporting a cycle through the lowest vertex it cannot peel, then
+/// the first input tag that has a predecessor.
+fn reference_build((n, edges, inputs): &BuilderInput) -> Result<(), BuildError> {
+    for &(u, v) in edges {
+        if u >= *n || v >= *n {
+            return Err(BuildError::DanglingEdge(VertexId(u), VertexId(v)));
+        }
+        if u == v {
+            return Err(BuildError::SelfLoop(VertexId(u)));
+        }
+    }
+    let mut peeled = vec![false; *n as usize];
+    while let Some(v) = (0..peeled.len()).find(|&v| {
+        !peeled[v]
+            && edges
+                .iter()
+                .all(|&(a, b)| b as usize != v || peeled[a as usize])
+    }) {
+        peeled[v] = true;
+    }
+    if let Some(v) = peeled.iter().position(|&p| !p) {
+        return Err(BuildError::Cycle(VertexId(v as u32)));
+    }
+    match inputs.iter().find(|&&v| edges.iter().any(|&(_, b)| b == v)) {
+        Some(&v) => Err(BuildError::InputWithPredecessor(VertexId(v))),
+        None => Ok(()),
+    }
+}
+
+/// Strategy: a sparse random DAG on randomly permuted ids, each position
+/// pair kept with probability `1.2 / n`: most graphs fall into many
+/// components with interleaved ids, isolated vertices among them.
+fn arb_sparse_permuted_dag() -> impl Strategy<Value = Cdag> {
+    (1usize..48)
+        .prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(
+                    proptest::bool::weighted((1.2 / n as f64).min(1.0)),
+                    n * (n - 1) / 2,
+                ),
+                proptest::collection::vec(0u64..u64::MAX, n),
+            )
+        })
+        .prop_map(|(n, mask, keys)| {
+            let ids = permutation(&keys);
+            let mut b = CdagBuilder::new();
+            b.add_vertices(n);
+            for ((i, j), keep) in position_pairs(n).zip(mask) {
+                if keep {
+                    b.add_edge(VertexId(ids[i]), VertexId(ids[j]));
+                }
+            }
+            b.build().unwrap()
+        })
+}
+
+/// The two-direction depth-first search that labelled components before
+/// union-find, kept as the reference: each unvisited vertex, in id order,
+/// opens the next component and floods it over successors and
+/// predecessors.
+fn dfs_components(g: &Cdag) -> Components {
+    let mut assignment = vec![usize::MAX; g.num_vertices()];
+    let mut stack: Vec<VertexId> = Vec::new();
+    let mut count = 0;
+    for start in g.vertices() {
+        if assignment[start.index()] != usize::MAX {
+            continue;
+        }
+        assignment[start.index()] = count;
+        stack.push(start);
+        while let Some(v) = stack.pop() {
+            for &w in g.successors(v).iter().chain(g.predecessors(v)) {
+                if assignment[w.index()] == usize::MAX {
+                    assignment[w.index()] = count;
+                    stack.push(w);
+                }
+            }
+        }
+        count += 1;
+    }
+    Components { assignment, count }
+}
+
+/// Strategy: a random DAG with every vertex in one of 2–4 blocks, so
+/// consecutive crossing edges sometimes repeat a block pair and
+/// sometimes do not.
+fn arb_few_block_dag() -> impl Strategy<Value = (Cdag, Vec<usize>)> {
+    (arb_dag(30), 2usize..5).prop_flat_map(|(g, blocks)| {
+        let n = g.num_vertices();
+        (Just(g), proptest::collection::vec(0..blocks, n))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The builder's verdict, on edge lists whose ids run both ways and
+    /// may hold a cycle, a self-loop or a dangling edge, is exactly the
+    /// reference's: the same error variant and vertex, or success.
+    #[test]
+    fn build_matches_reference_kahn(input in arb_builder_input()) {
+        let (n, edges, inputs) = &input;
+        let mut b = CdagBuilder::new();
+        b.add_vertices(*n as usize);
+        for &(u, v) in edges {
+            b.add_edge(VertexId(u), VertexId(v));
+        }
+        for &v in inputs {
+            b.tag_input(VertexId(v));
+        }
+        let built = b.build();
+        prop_assert_eq!(built.as_ref().err().cloned(), reference_build(&input).err());
+        if let Ok(g) = built {
+            prop_assert_eq!(g.num_edges(), edges.len());
+            prop_assert!(is_valid_topological_order(&g, &topological_order(&g)));
+        }
+    }
+
+    /// Union-find labels every vertex exactly as the depth-first search
+    /// did: the same component count, numbered by lowest vertex.
+    #[test]
+    fn components_match_dfs_reference(g in arb_sparse_permuted_dag()) {
+        prop_assert_eq!(weakly_connected_components(&g), dfs_components(&g));
+    }
+
+    /// The quotient's edges are every crossing block pair, sorted and
+    /// distinct, whatever the repeat filter skipped.
+    #[test]
+    fn quotient_edges_are_every_crossing_pair((g, assignment) in arb_few_block_dag()) {
+        let crossing: BTreeSet<(usize, usize)> = g
+            .edges()
+            .map(|(u, v)| (assignment[u.index()], assignment[v.index()]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let q = QuotientGraph::new(&g, &assignment);
+        prop_assert_eq!(q.edges, crossing.into_iter().collect::<Vec<_>>());
+    }
 }

@@ -10,7 +10,7 @@
 //!   predecessors uniformly (with dedup) from the previous layer. Linear
 //!   in `layers·width·deg`, which is what lets `repro`'s E16 scale curve
 //!   reach 10⁷–10⁸ vertices; this path streams *unlabeled* vertices via
-//!   [`CdagBuilder::add_vertices`] so no per-vertex `String` is heaped.
+//!   [`CdagBuilder::add_vertices`], which stores nothing per vertex.
 
 use crate::catalog::{Kernel, ParamSpec, ParamValues};
 use dmc_cdag::{Cdag, CdagBuilder, VertexId};
@@ -132,6 +132,8 @@ pub fn random_layered(cfg: RandomDagConfig) -> Cdag {
             b.tag_output(VertexId(i as u32));
         }
     }
+    // The census is |V|-sized; free it before the build's own peak.
+    drop(out_degree);
     b.build_valid("layered graph is acyclic")
 }
 

@@ -4,6 +4,7 @@
 
 use dmc::cdag::textio::{from_text, to_text};
 use dmc::cdag::{Cdag, VertexId};
+use dmc::core::pipeline::{Analyzer, AnalyzerConfig, HierarchicalOptions};
 use std::path::PathBuf;
 
 fn read_graph(name: &str) -> (String, Cdag) {
@@ -33,7 +34,12 @@ fn assert_round_trips(name: &str) {
 
 #[test]
 fn every_shipped_graph_round_trips() {
-    for name in ["diamond.cdag", "ladder.cdag", "composite.cdag"] {
+    for name in [
+        "diamond.cdag",
+        "ladder.cdag",
+        "composite.cdag",
+        "reversed.cdag",
+    ] {
         assert_round_trips(name);
     }
 }
@@ -69,4 +75,43 @@ fn composite_has_two_components() {
     let comps = dmc::cdag::weakly_connected_components(&g);
     assert_eq!(comps.count, 2);
     assert_eq!(comps.sizes(), vec![64, 49]);
+}
+
+/// `reversed.cdag` is the diamond numbered sink first, so the builder
+/// must fall back to Kahn's algorithm (some edge runs from a higher id to
+/// a lower one); renumbering changes no bound, flat or hierarchical.
+#[test]
+fn reversed_diamond_bounds_match_diamond() {
+    let (_, reversed) = read_graph("reversed.cdag");
+    let (_, diamond) = read_graph("diamond.cdag");
+    assert!(
+        reversed.edges().any(|(u, v)| u > v),
+        "reversed.cdag must have an edge from a higher id to a lower one"
+    );
+    assert!(diamond.edges().all(|(u, v)| u < v));
+    for sram in [1, 2, 4] {
+        let analyzer = Analyzer::new(AnalyzerConfig {
+            sram,
+            ..AnalyzerConfig::default()
+        });
+        let opts = HierarchicalOptions::default();
+        for (what, r, d) in [
+            (
+                "flat",
+                analyzer.analyze(&reversed),
+                analyzer.analyze(&diamond),
+            ),
+            (
+                "hierarchical",
+                analyzer.analyze_hierarchical(&reversed, &opts),
+                analyzer.analyze_hierarchical(&diamond, &opts),
+            ),
+        ] {
+            assert_eq!(r.bound.value, d.bound.value, "{what} bound at S = {sram}");
+            assert_eq!(
+                r.bound.method, d.bound.method,
+                "{what} method at S = {sram}"
+            );
+        }
+    }
 }
